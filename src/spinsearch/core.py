@@ -35,8 +35,9 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    delta = u.conj().T @ u - np.eye(u.shape[0])
-    return float(np.max(np.abs(delta))) <= tol
+    delta = u.conj().T @ u
+    delta.flat[:: u.shape[0] + 1] -= 1.0  # subtract I in place
+    return float(np.abs(delta).max()) <= tol
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:

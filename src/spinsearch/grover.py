@@ -111,6 +111,12 @@ def oracle_matrix(label: OracleLabel) -> np.ndarray:
     return np.diag(diag)
 
 
+# The label-independent gates of the two-qubit circuit.
+_H2 = kron(pseudo_hadamard(), pseudo_hadamard())
+_HINV2 = kron(pseudo_hadamard_inverse(), pseudo_hadamard_inverse())
+_U_00 = oracle_matrix(OracleLabel(0, 0))
+
+
 def grover2_circuit(label: OracleLabel) -> np.ndarray:
     """Run the two-qubit search circuit from |00> for the given function.
 
@@ -118,15 +124,8 @@ def grover2_circuit(label: OracleLabel) -> np.ndarray:
     (h^-1 x h^-1) . U_fab . (h x h) . U_00 . (h^-1 x h^-1).
     The output equals |ab> up to a convention-fixed global phase.
     """
-    h = pseudo_hadamard()
-    hinv = pseudo_hadamard_inverse()
-    hinv2 = kron(hinv, hinv)
-    h2 = kron(h, h)
-    u_fab = oracle_matrix(label)
-    u_00 = oracle_matrix(OracleLabel(0, 0))
-
     psi = basis_state(2, 0)
-    for gate in (hinv2, u_fab, h2, u_00, hinv2):
+    for gate in (_HINV2, oracle_matrix(label), _H2, _U_00, _HINV2):
         psi = apply_unitary(gate, psi)
     return psi
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_unitary
+from .core import apply_unitary, is_unitary
 from .grover import ALL_LABELS, OracleLabel
 from .spins import (
     ErrorModel,
@@ -260,28 +260,54 @@ def event_operator(sys: SpinSystem, ev: PulseEvent, err: ErrorModel = IDEAL) -> 
     return pulse_operator(sys, ev, err)
 
 
+def _run_products(sys: SpinSystem, seq, err: ErrorModel):
+    """Split the sequence at its gradient events: yield the propagator product
+    of each gradient-free run of events (earliest applied first), and None for
+    each gradient.
+
+    Each distinct event's propagator is built once per call and checked
+    unitary at 1e-10 when it is built.
+    """
+    built: dict[PulseEvent, np.ndarray] = {}
+    product = None
+    for ev in getattr(seq, "events", seq):
+        if ev.kind == GRADIENT:
+            if product is not None:
+                yield product
+                product = None
+            yield None
+            continue
+        u = built.get(ev)
+        if u is None:
+            u = event_operator(sys, ev, err)
+            if not is_unitary(u):
+                raise ValueError(f"propagator of {ev} is not unitary at tolerance 1e-10")
+            built[ev] = u
+        product = u if product is None else u @ product
+    if product is not None:
+        yield product
+
+
 def sequence_unitary(sys: SpinSystem, seq, err: ErrorModel = IDEAL) -> np.ndarray:
     """Product of the event propagators (earliest applied first).
 
     Raises on gradient events, which have no unitary representation.
     """
     u = np.eye(4, dtype=complex)
-    for ev in getattr(seq, "events", seq):
-        if ev.kind == GRADIENT:
+    for product in _run_products(sys, seq, err):
+        if product is None:
             raise ValueError("gradient events have no unitary; use run_sequence")
-        u = event_operator(sys, ev, err) @ u
+        u = product  # without gradients there is exactly one run
     return u
 
 
 def run_sequence(
     sys: SpinSystem, seq, rho0: np.ndarray, err: ErrorModel = IDEAL
 ) -> np.ndarray:
-    """Left-fold the sequence over a density matrix: unitary events conjugate
-    it, gradient events crush nonzero coherence orders."""
+    """Left-fold the sequence over a density matrix: each gradient-free run
+    of events conjugates it by its propagator product, gradient events crush
+    nonzero coherence orders."""
     rho = np.asarray(rho0, dtype=complex)
-    for ev in getattr(seq, "events", seq):
-        if ev.kind == GRADIENT:
-            rho = gradient_crush(rho)
-        else:
-            rho = apply_unitary(event_operator(sys, ev, err), rho)
+    for product in _run_products(sys, seq, err):
+        rho = gradient_crush(rho) if product is None else apply_unitary(product, rho)
     return rho

@@ -5,20 +5,26 @@ All frequencies are rotating-frame offsets in Hz; propagators are
 U = exp(-i 2*pi*t H) with H in Hz.  Pulse phases map +x=0, +y=90, -x=180,
 -y=270 degrees, and a pulse of flip angle beta about the phase-phi axis is
 exp(-i beta (cos(phi) Ix + sin(phi) Iy)).
+
+Every propagator is built in closed form, without a matrix exponential.  A
+rotation by theta about the unit axis n is the SU(2) matrix
+cos(theta/2) I - i sin(theta/2) n.sigma.  During a soft pulse the
+carrier-frame Hamiltonian commutes with the spectator spin's Iz, so it splits
+into two 2x2 blocks, one per spectator eigenvalue m = +-1/2: each block is a
+rotation about (omega1 cos(phi), omega1 sin(phi), J m) times the scalar phase
+of the spectator's offset from the carrier.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     IDENTITY_2,
-    IX,
-    IY,
     IZ,
     coherence_order_matrix,
     density_from_state,
@@ -28,7 +34,6 @@ from .core import (
 IZ1 = kron(IZ, IDENTITY_2)
 IZ2 = kron(IDENTITY_2, IZ)
 IZZ = kron(IZ, IZ)
-FZ = IZ1 + IZ2
 
 TARGET_SPIN1 = 1
 TARGET_SPIN2 = 2
@@ -101,22 +106,42 @@ def free_evolution(sys: SpinSystem, t: float) -> np.ndarray:
     return np.diag(np.exp(-2j * math.pi * t * np.diag(h)))
 
 
-def _rotation_axis(phase_deg: float) -> np.ndarray:
-    phi = math.radians(phase_deg)
-    return math.cos(phi) * IX + math.sin(phi) * IY
+def _su2(theta: float, nx: float, ny: float, nz: float) -> tuple:
+    """Rows of exp(-i theta/2 n.sigma) for a unit axis n, as Python complex
+    numbers."""
+    c = math.cos(theta / 2)
+    s = math.sin(theta / 2)
+    return (
+        (complex(c, -s * nz), complex(-s * ny, -s * nx)),
+        (complex(s * ny, -s * nx), complex(c, s * nz)),
+    )
+
+
+# Basis indices (target |0>, target |1>) for the spectator in |0> (Iz = +1/2)
+# and in |1> (Iz = -1/2); the first spin is the most significant bit.
+_BLOCK_INDICES = {
+    TARGET_SPIN1: ((0, 2), (1, 3)),
+    TARGET_SPIN2: ((0, 1), (2, 3)),
+}
+
+
+def _embed(target: int, blocks) -> np.ndarray:
+    """4x4 operator acting as blocks[k] on the target spin while the
+    spectator is in |k>."""
+    u = np.zeros((4, 4), dtype=complex)
+    for (i, j), ((a, b), (c, d)) in zip(_BLOCK_INDICES[target], blocks):
+        u[i, i], u[i, j], u[j, i], u[j, j] = a, b, c, d
+    return u
 
 
 def ideal_pulse(target: int | str, flip_deg: float, phase_deg: float) -> np.ndarray:
     """Instantaneous rotation on one spin (identity on the other) or on both."""
-    beta = math.radians(flip_deg)
-    axis = _rotation_axis(phase_deg)
-    u2 = expm(-1j * beta * axis)
-    if target == TARGET_SPIN1:
-        return kron(u2, IDENTITY_2)
-    if target == TARGET_SPIN2:
-        return kron(IDENTITY_2, u2)
+    phi = math.radians(phase_deg)
+    u2 = _su2(math.radians(flip_deg), math.cos(phi), math.sin(phi), 0.0)
+    if target in (TARGET_SPIN1, TARGET_SPIN2):
+        return _embed(target, (u2, u2))
     if target == TARGET_BOTH:
-        return kron(u2, u2)
+        return _embed(TARGET_SPIN1, (u2, u2)) @ _embed(TARGET_SPIN2, (u2, u2))
     raise ValueError(f"unknown pulse target {target!r}")
 
 
@@ -136,18 +161,32 @@ def soft_pulse(
     if t_p <= 0:
         raise ValueError("soft pulse duration must be positive")
     if target == TARGET_SPIN1:
-        carrier = sys.nu1
-        rf_axis = kron(_rotation_axis(phase_deg), IDENTITY_2)
+        carrier, spectator = sys.nu1, sys.nu2
     elif target == TARGET_SPIN2:
-        carrier = sys.nu2
-        rf_axis = kron(IDENTITY_2, _rotation_axis(phase_deg))
+        carrier, spectator = sys.nu2, sys.nu1
     else:
         raise ValueError("soft pulses address a single spin")
     omega1 = flip_deg / (360.0 * t_p)
-    h_carrier = hamiltonian(sys, nu1=sys.nu1 - carrier, nu2=sys.nu2 - carrier) + omega1 * rf_axis
-    u_carrier = expm(-2j * math.pi * t_p * h_carrier)
-    frame = np.diag(np.exp(-2j * math.pi * carrier * t_p * np.diag(FZ)))
-    return frame @ u_carrier
+    phi = math.radians(phase_deg)
+    blocks = []
+    for m in (0.5, -0.5):
+        # H_m = (spectator - carrier) m + J m Iz + omega1 (cos(phi) Ix + sin(phi) Iy)
+        jm = sys.j * m
+        field = math.hypot(omega1, jm)  # > 0 because J > 0
+        (a, b), (c, d) = _su2(
+            2 * math.pi * t_p * field,
+            omega1 * math.cos(phi) / field,
+            omega1 * math.sin(phi) / field,
+            jm / field,
+        )
+        phase = cmath.exp(-2j * math.pi * t_p * (spectator - carrier) * m)
+        blocks.append(((phase * a, phase * b), (phase * c, phase * d)))
+    # back to the shared frame: exp(-i 2 pi carrier t_p Fz), Fz = diag(1, 0, 0, -1)
+    frame = cmath.exp(-2j * math.pi * carrier * t_p)
+    u = _embed(target, blocks)
+    u[0] *= frame
+    u[3] *= frame.conjugate()
+    return u
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:

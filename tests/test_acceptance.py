@@ -75,7 +75,7 @@ def test_oracle_compilation():
     for _ in range(5):
         nu1 = float(rng.uniform(-400, 400))
         systems.append(SpinSystem(nu1=nu1, nu2=nu1 - float(rng.uniform(100, 500)), j=7.0))
-    compile_oracle(ALL_LABELS[0], systems[0])  # warm scipy.expm before timing
+    compile_oracle(ALL_LABELS[0], systems[0])  # warm up before timing
     start = time.perf_counter()
     for label in ALL_LABELS:
         ideal = oracle_matrix(label)

@@ -131,6 +131,17 @@ class TestReferencePhase:
         difference = (phase_90 - phase_0) % 360.0
         assert min(difference, 360 - difference) == pytest.approx(90.0, abs=1.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AmbiguousReadoutError,
+        reason="known defect: at 1024 points some off-grid line positions make "
+        "reference_phase reject the ideal |00> reference",
+    )
+    def test_off_grid_reference_at_minimum_points(self):
+        sys = SpinSystem(nu1=70.77, nu2=-88.84, j=6.08)
+        spec = detect(sys, state_00(), AcquisitionParams(spectral_width=512.0, n_points=1024))
+        assert classify(spec, reference_phase(spec)).qubits == (0, 0)
+
     def test_no_peaks_raises(self):
         spec = detect(SYS, np.eye(4, dtype=complex) / 4, ACQ)
         with pytest.raises(AmbiguousReadoutError, match="no detectable"):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinsearch.core import (
+    apply_unitary,
     basis_state,
     equal_up_to_global_phase,
     fidelity,
@@ -20,6 +21,7 @@ from spinsearch.sequence import (
     ROW_FOR_LABEL,
     compile_oracle,
     delay,
+    event_operator,
     format_sequence,
     gradient,
     grover_program,
@@ -28,7 +30,7 @@ from spinsearch.sequence import (
     run_sequence,
     sequence_unitary,
 )
-from spinsearch.spins import ErrorModel, SpinSystem, pseudo_pure_00, state_00
+from spinsearch.spins import ErrorModel, SpinSystem, gradient_crush, pseudo_pure_00, state_00
 
 offsets = st.floats(-400, 400, allow_nan=False)
 
@@ -216,6 +218,104 @@ class TestRunSequence:
     def test_sequence_unitary_rejects_gradient(self):
         with pytest.raises(ValueError, match="gradient"):
             sequence_unitary(SpinSystem(), PulseSequence((gradient(),)))
+
+
+def per_event_fold(sys, events, rho, err):
+    """Reference executor: one propagator and one conjugation per event."""
+    for ev in events:
+        if ev.kind == GRADIENT:
+            rho = gradient_crush(rho)
+        else:
+            rho = apply_unitary(event_operator(sys, ev, err), rho)
+    return rho
+
+
+def per_event_unitary(sys, events, err):
+    """Reference unitary: the per-event fold applied to each basis ket."""
+    columns = []
+    for index in range(4):
+        psi = basis_state(2, index)
+        for ev in events:
+            psi = apply_unitary(event_operator(sys, ev, err), psi)
+        columns.append(psi)
+    return np.stack(columns, axis=1)
+
+
+def random_density(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+FOLD_SYSTEM = SpinSystem(nu1=93.0, nu2=-71.5, j=6.5)
+P1 = pulse(1, 90.0, 270.0)
+P2 = pulse(2, 180.0, 0.0, soft_tp=2e-4)
+PB = pulse("both", 90.0, 90.0)
+TAU = delay(FOLD_SYSTEM.tau)
+GRAD = gradient()
+fold_events = st.one_of(
+    st.sampled_from([P1, P2, PB, TAU, GRAD]),
+    st.builds(pulse, st.sampled_from([1, 2, "both"]), st.floats(-360, 360), st.floats(0, 360)),
+    st.builds(delay, st.floats(0, 0.1)),
+)
+fold_errors = st.sampled_from([ErrorModel(), ErrorModel("soft-pulse", 1e-4)])
+
+
+class TestPropagatorFold:
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [],
+            [GRAD, P1, P2, P1],
+            [P1, TAU, PB, GRAD, P1, TAU, PB],
+            [P1, P2, TAU, P2, GRAD],
+            [GRAD, GRAD, P1, GRAD],
+            [P2] * 6,
+        ],
+        ids=["empty", "grad-start", "grad-middle", "grad-end", "grads-only-between", "repeated"],
+    )
+    @pytest.mark.parametrize("err", [ErrorModel(), ErrorModel("soft-pulse", 1e-4)],
+                             ids=["ideal", "soft"])
+    def test_run_sequence_matches_per_event_fold(self, events, err):
+        rho0 = random_density(7)
+        got = run_sequence(FOLD_SYSTEM, events, rho0, err)
+        want = per_event_fold(FOLD_SYSTEM, events, rho0, err)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @given(st.lists(fold_events, max_size=30), fold_errors)
+    def test_random_lists_match_per_event_fold(self, events, err):
+        rho0 = random_density(3)
+        got = run_sequence(FOLD_SYSTEM, events, rho0, err)
+        assert np.max(np.abs(got - per_event_fold(FOLD_SYSTEM, events, rho0, err))) <= 1e-12
+        unitary_events = [ev for ev in events if ev.kind != GRADIENT]
+        got_u = sequence_unitary(FOLD_SYSTEM, unitary_events, err)
+        want_u = per_event_unitary(FOLD_SYSTEM, unitary_events, err)
+        assert np.max(np.abs(got_u - want_u)) <= 1e-12
+
+    def test_each_distinct_propagator_built_once(self, monkeypatch):
+        import spinsearch.sequence as sequence
+
+        built = []
+        original = sequence.event_operator
+
+        def counting(sys, ev, err):
+            built.append(ev)
+            return original(sys, ev, err)
+
+        monkeypatch.setattr(sequence, "event_operator", counting)
+        program = grover_program(OracleLabel(1, 0), FOLD_SYSTEM)
+        run_sequence(FOLD_SYSTEM, program, pseudo_pure_00(1.0), ErrorModel("soft-pulse", 1e-4))
+        assert len(built) == len(set(built)) == len(set(program.events)) < len(program)
+
+    def test_non_unitary_propagator_rejected(self, monkeypatch):
+        import spinsearch.sequence as sequence
+
+        monkeypatch.setattr(sequence, "event_operator", lambda sys, ev, err: 2 * np.eye(4))
+        with pytest.raises(ValueError, match="not unitary"):
+            run_sequence(FOLD_SYSTEM, [P1], pseudo_pure_00(1.0))
+        with pytest.raises(ValueError, match="not unitary"):
+            sequence_unitary(FOLD_SYSTEM, [P1])
 
 
 class TestPulseOperator:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from spinsearch.core import (
     IDENTITY_2,
+    IX,
+    IY,
     SIGMA_X,
     check_density_matrix,
     density_from_state,
@@ -16,6 +19,8 @@ from spinsearch.core import (
 )
 from spinsearch.grover import pseudo_hadamard
 from spinsearch.spins import (
+    IZ1,
+    IZ2,
     SpinSystem,
     ErrorModel,
     free_evolution,
@@ -145,6 +150,53 @@ class TestSoftPulse:
             ErrorModel("soft-pulse", 0.0)
         with pytest.raises(ValueError):
             ErrorModel("loud-pulse", 1e-3)
+
+
+def rotation_axis(phase_deg):
+    phi = math.radians(phase_deg)
+    return math.cos(phi) * IX + math.sin(phi) * IY
+
+
+def expm_ideal_pulse(target, flip_deg, phase_deg):
+    """Reference: the rotation as a matrix exponential."""
+    u2 = expm(-1j * math.radians(flip_deg) * rotation_axis(phase_deg))
+    if target == 1:
+        return kron(u2, IDENTITY_2)
+    if target == 2:
+        return kron(IDENTITY_2, u2)
+    return kron(u2, u2)
+
+
+def expm_soft_pulse(sys, target, flip_deg, phase_deg, t_p):
+    """Reference: exponential of the carrier-frame Hamiltonian, rotated back
+    into the shared frame."""
+    carrier = sys.nu1 if target == 1 else sys.nu2
+    axis = rotation_axis(phase_deg)
+    rf_axis = kron(axis, IDENTITY_2) if target == 1 else kron(IDENTITY_2, axis)
+    omega1 = flip_deg / (360.0 * t_p)
+    h = hamiltonian(sys, nu1=sys.nu1 - carrier, nu2=sys.nu2 - carrier) + omega1 * rf_axis
+    frame = np.diag(np.exp(-2j * math.pi * carrier * t_p * np.diag(IZ1 + IZ2)))
+    return frame @ expm(-2j * math.pi * t_p * h)
+
+
+couplings = st.floats(0.5, 30.0, allow_nan=False)
+flips = st.floats(-720, 720, allow_nan=False)
+phases = st.floats(-360, 720, allow_nan=False)
+durations = st.floats(1e-7, 1e-3, allow_nan=False)
+
+
+class TestClosedFormPropagators:
+    @given(st.sampled_from([1, 2, "both"]), flips, phases)
+    def test_ideal_pulse_matches_expm(self, target, flip, phase):
+        ref = expm_ideal_pulse(target, flip, phase)
+        assert np.max(np.abs(ideal_pulse(target, flip, phase) - ref)) <= 1e-12
+
+    @given(offsets, gaps, st.sampled_from([-1.0, 1.0]), couplings,
+           st.sampled_from([1, 2]), flips, phases, durations)
+    def test_soft_pulse_matches_expm(self, nu1, gap, side, j, target, flip, phase, t_p):
+        sys = SpinSystem(nu1=nu1, nu2=nu1 - side * (10 * j + gap), j=j)
+        ref = expm_soft_pulse(sys, target, flip, phase, t_p)
+        assert np.max(np.abs(soft_pulse(sys, target, flip, phase, t_p) - ref)) <= 1e-12
 
 
 class TestGradientCrush:
