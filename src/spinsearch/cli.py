@@ -58,7 +58,6 @@ class RunConfig:
     epsilon: float = 1.0
     error_model: ErrorModel = IDEAL
     out_dir: str = "."
-    seed: int = 0
 
 
 def parse_config_file(path: str) -> dict[str, float]:
@@ -96,7 +95,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     epsilon = args.epsilon if args.epsilon is not None else raw.get("epsilon", 1.0)
     err = ErrorModel("soft-pulse", args.error_tp) if args.error_tp else IDEAL
     out_dir = os.environ.get("SPINSEARCH_OUT", args.out)
-    return RunConfig(spin, acq, epsilon, err, out_dir, args.seed)
+    return RunConfig(spin, acq, epsilon, err, out_dir)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,7 +193,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_pulse.add_argument("--error-tp", type=float, default=None,
                          help="soft-pulse duration in seconds (default: ideal pulses)")
     p_pulse.add_argument("--out", default=".", help="output directory")
-    p_pulse.add_argument("--seed", type=int, default=0)
     p_pulse.set_defaults(func=cmd_pulse)
 
     p_search = sub.add_parser("search", help="search-complexity table")

@@ -2,18 +2,16 @@
 
 States live in the Zeeman product basis |00>, |01>, |10>, |11>, ... with the
 first spin (qubit 1) as the most significant bit.  State vectors and density
-matrices are plain complex numpy arrays; the helpers here validate the
-invariants (unit norm, Hermiticity, unit trace) instead of wrapping arrays in
-classes.  Everything is pure: no function mutates its input.
+matrices are plain complex numpy arrays, not wrapped in classes.  Everything
+is pure: no function mutates its input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Tolerances used throughout the package.
+# Tolerance of the unitarity checks throughout the package.
 UNITARY_TOL = 1e-10
-NORM_TOL = 1e-12
 
 # Pauli matrices and the single-spin angular momentum operators (hbar = 1).
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,30 +58,6 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def check_state_vector(psi: np.ndarray, tol: float = NORM_TOL) -> None:
-    """Raise ValueError unless psi is a unit-norm state vector of 2^n entries."""
-    psi = np.asarray(psi)
-    n = psi.shape[0]
-    if psi.ndim != 1 or n & (n - 1):
-        raise ValueError(f"state vector length {psi.shape} is not a power of two")
-    norm_err = abs(float(np.sum(np.abs(psi) ** 2)) - 1.0)
-    if norm_err > tol:
-        raise ValueError(f"state vector norm deviates from 1 by {norm_err:.3e}")
-
-
-def check_density_matrix(rho: np.ndarray, tol: float = NORM_TOL) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace, and PSD to 1e-10."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if float(np.max(np.abs(rho - rho.conj().T))) > tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(complex(np.trace(rho)).real - 1.0) > tol:
-        raise ValueError("density matrix trace deviates from 1")
-    if float(np.min(np.linalg.eigvalsh(rho))) < -1e-10:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
-
-
 def apply_unitary(u: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Apply U to a state vector (U s) or density matrix (U s U†).
 
@@ -106,8 +80,10 @@ def apply_unitary(u: np.ndarray, state: np.ndarray) -> np.ndarray:
 def apply_single_qubit(u2: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 unitary to one qubit of a state vector.
 
-    ``qubit`` counts from 1 (= most significant bit).  Matrix-free, so it
-    stays cheap for the 20-qubit statevector cases.
+    ``qubit`` counts from 1 (= most significant bit).  No package code path
+    calls it: the search iterate is a closed-form reflection.  It stays as the
+    tests' reference primitive for per-qubit gate products, and because the
+    benchmark tracer resolves it by name.
     """
     psi = np.asarray(psi, dtype=complex)
     n = psi.shape[0].bit_length() - 1
@@ -138,16 +114,6 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -
         return False
     c = ratio / abs(ratio)
     return float(np.max(np.abs(a - c * b))) <= tol
-
-
-def global_phase_factor(a: np.ndarray, b: np.ndarray) -> complex:
-    """Unit-modulus c minimising a - c*b, read off b's largest entry."""
-    b = np.asarray(b, dtype=complex).ravel()
-    k = int(np.argmax(np.abs(b)))
-    ratio = np.asarray(a, dtype=complex).ravel()[k] / b[k]
-    if abs(ratio) == 0.0:
-        raise ValueError("arrays are not phase-related (zero overlap entry)")
-    return ratio / abs(ratio)
 
 
 def coherence_order(i: int, j: int, n_qubits: int) -> int:

@@ -1,6 +1,10 @@
 """Gate-level two-qubit search circuit and the generalized N/k amplitude
 amplification, plus the classical sampling comparator.
 
+The search diffusion h^-1(x n) . U_00 . h(x n) equals I - 2|s><s| because
+h^-1 = h^T, with the start state s_x = (-1)^popcount(x)/sqrt(N): Grover's
+inversion about the mean, one dot product and one axpy per iterate, O(N).
+
 Conventions (fixed package-wide): Ry(beta) = exp(-i*beta*sigma_y/2), so the
 pseudo-Hadamard h = Ry(90 deg) = (1/sqrt(2)) [[1, -1], [1, 1]] and h maps
 |0> to (|0>+|1>)/sqrt(2).  Basis ordering puts the first qubit in the most
@@ -14,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    apply_single_qubit,
-    apply_unitary,
-    basis_state,
-    kron,
-)
+from .core import apply_unitary, basis_state, kron
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -67,6 +66,9 @@ class SearchProblem:
 
     n_qubits: int
     marked: frozenset[int] = field(default_factory=frozenset)
+    # ``marked`` as an index array, in the set's iteration order; derived, so
+    # equality and hashing come from ``marked`` alone.
+    marked_indices: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= 20:
@@ -74,8 +76,12 @@ class SearchProblem:
         object.__setattr__(self, "marked", frozenset(self.marked))
         if not self.marked:
             raise ValueError("at least one marked element is required (k >= 1)")
-        if min(self.marked) < 0 or max(self.marked) >= self.size:
+        indices = np.array(list(self.marked))
+        if indices.dtype.kind not in "iu":
+            raise ValueError("marked indices must be integers")
+        if indices.min() < 0 or indices.max() >= self.size:
             raise ValueError("marked indices out of range")
+        object.__setattr__(self, "marked_indices", indices.astype(np.intp, copy=False))
 
     @property
     def size(self) -> int:
@@ -136,41 +142,35 @@ def read_bits(psi: np.ndarray) -> tuple[int, int]:
     return index >> 1, index & 1
 
 
-def _signed_uniform(n_qubits: int) -> np.ndarray:
-    """(h^-1)^(x n) |0...0>: uniform magnitudes with Ry(-90) sign pattern."""
-    psi = basis_state(n_qubits, 0)
-    hinv = pseudo_hadamard_inverse()
-    for q in range(1, n_qubits + 1):
-        psi = apply_single_qubit(hinv, psi, q)
-    return psi
+def _start_amplitudes(n_qubits: int) -> np.ndarray:
+    """(h^-1)^(x n) |0...0> as a real vector: entry x is (-1)^popcount(x)/sqrt(N).
 
-
-def _diffusion_step(psi: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Inversion about the start state, built as h^(x n) then a |0...0> sign
-    flip then (h^-1)^(x n), mirroring the two-qubit circuit structure."""
-    h = pseudo_hadamard()
-    hinv = pseudo_hadamard_inverse()
-    for q in range(1, n_qubits + 1):
-        psi = apply_single_qubit(h, psi, q)
-    psi = psi.copy()
-    psi[0] = -psi[0]
-    for q in range(1, n_qubits + 1):
-        psi = apply_single_qubit(hinv, psi, q)
-    return psi
+    Doubling: entries [w, 2w) are entries [0, w) with one more bit set.
+    """
+    size = 2**n_qubits
+    s = np.empty(size)
+    s[0] = 1.0 / math.sqrt(size)
+    width = 1
+    while width < size:
+        np.negative(s[:width], out=s[width : 2 * width])
+        width *= 2
+    return s
 
 
 def grover_start(problem: SearchProblem) -> np.ndarray:
-    """The uniform start state of the search iteration."""
-    return _signed_uniform(problem.n_qubits)
+    """The start state s of the search iteration, (h^-1)^(x n) |0...0>:
+    uniform magnitudes 1/sqrt(N) with sign (-1)^popcount(x)."""
+    return _start_amplitudes(problem.n_qubits).astype(complex)
 
 
 def grover_iterate(problem: SearchProblem, psi: np.ndarray) -> np.ndarray:
-    """One search iterate: marked-set sign flip, then inversion about the
-    start state."""
-    marked = np.fromiter(problem.marked, dtype=np.intp)
-    psi = psi.copy()
-    psi[marked] = -psi[marked]
-    return _diffusion_step(psi, problem.n_qubits)
+    """One search iterate: marked-set sign flip, then the inversion about the
+    start state, psi <- psi - 2<s|psi> s (O(N))."""
+    s = _start_amplitudes(problem.n_qubits)
+    psi = np.array(psi, dtype=complex)
+    psi[problem.marked_indices] *= -1
+    psi -= (2 * (s @ psi)) * s
+    return psi
 
 
 def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
@@ -186,8 +186,7 @@ def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
 
 def success_probability(problem: SearchProblem, psi: np.ndarray) -> float:
     """Total probability of measuring a marked index."""
-    marked = np.fromiter(problem.marked, dtype=np.intp)
-    return float(np.sum(np.abs(psi[marked]) ** 2))
+    return float(np.sum(np.abs(psi[problem.marked_indices]) ** 2))
 
 
 def predicted_success_probability(n: int, k: int, iterations: int) -> float:
@@ -235,6 +234,8 @@ def monte_carlo_evaluations(
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= N")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     counts = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
     for draw in range(1, n - k + 2):

@@ -61,6 +61,13 @@ class TestSearchCommand:
         assert "monte_carlo=" in out_a
         assert out_a == out_b
 
+    def test_zero_trials_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--n", "4", "--k", "1",
+                                 "--seed", "1", "--trials", "0")
+        assert code == EXIT_USAGE
+        assert "trials" in err
+        assert "nan" not in out
+
     def test_k_larger_than_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "search", "--n", "2", "--k", "5")
         assert code == EXIT_USAGE
@@ -158,6 +165,12 @@ class TestPulseCommand:
         assert code == EXIT_OK
         assert (env_dir / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_seed_is_not_an_option(self, capsys, tmp_path, fast_config):
+        # the pulse pipeline is deterministic; there is nothing to seed
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pulse", "--config", fast_config, "--seed", "1", "--out", str(tmp_path)])
+        assert excinfo.value.code == EXIT_USAGE
 
     def test_invalid_config_key_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -10,8 +10,6 @@ from spinsearch.core import (
     apply_single_qubit,
     apply_unitary,
     basis_state,
-    check_density_matrix,
-    check_state_vector,
     coherence_order,
     density_from_state,
     equal_up_to_global_phase,
@@ -20,6 +18,7 @@ from spinsearch.core import (
     kron,
 )
 from spinsearch.grover import pseudo_hadamard
+from state_checks import check_density_matrix, check_state_vector
 
 
 def small_complex_matrix(dim):

@@ -9,7 +9,6 @@ from spinsearch.core import (
     apply_single_qubit,
     basis_state,
     equal_up_to_global_phase,
-    global_phase_factor,
     is_unitary,
 )
 from spinsearch.grover import (
@@ -32,6 +31,7 @@ from spinsearch.grover import (
     ry,
     success_probability,
 )
+from state_checks import global_phase_factor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,6 +105,77 @@ class TestTwoQubitCircuit:
         problem = SearchProblem(2, frozenset({label.index}))
         general = grover_general(problem, 1)
         assert equal_up_to_global_phase(grover2_circuit(label), general, 1e-12)
+
+
+def _reference_start(n_qubits):
+    """(h^-1)^(x n) |0...0>, one single-qubit gate at a time."""
+    psi = basis_state(n_qubits, 0)
+    for q in range(1, n_qubits + 1):
+        psi = apply_single_qubit(pseudo_hadamard_inverse(), psi, q)
+    return psi
+
+
+def _reference_iterate(n_qubits, marked, psi):
+    """Marked sign flip, then the diffusion as the circuit builds it: h on
+    every qubit, a |0...0> sign flip, h^-1 on every qubit."""
+    psi = psi.copy()
+    psi[list(marked)] *= -1
+    for q in range(1, n_qubits + 1):
+        psi = apply_single_qubit(pseudo_hadamard(), psi, q)
+    psi[0] = -psi[0]
+    for q in range(1, n_qubits + 1):
+        psi = apply_single_qubit(pseudo_hadamard_inverse(), psi, q)
+    return psi
+
+
+def _assert_matches_reference(problem, iterations):
+    """grover_start, every grover_iterate step and grover_general equal the
+    gate-by-gate reference elementwise, global phase included."""
+    n_qubits = problem.n_qubits
+    reference = _reference_start(n_qubits)
+    assert np.max(np.abs(grover_start(problem) - reference)) <= 1e-12
+    for _ in range(iterations):
+        step = grover_iterate(problem, reference)
+        reference = _reference_iterate(n_qubits, problem.marked, reference)
+        assert np.max(np.abs(step - reference)) <= 1e-12
+    assert np.max(np.abs(grover_general(problem, iterations) - reference)) <= 1e-12
+
+
+class TestReflectionMatchesCircuit:
+    @given(st.integers(1, 12), st.data())
+    def test_matches_gate_by_gate_reference(self, n_qubits, data):
+        size = 2**n_qubits
+        k = data.draw(st.integers(1, size), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        marked = np.random.default_rng(seed).choice(size, size=k, replace=False)
+        problem = SearchProblem(n_qubits, frozenset(marked.tolist()))
+        m = data.draw(st.integers(0, optimal_iterations(problem) + 2), label="m")
+        _assert_matches_reference(problem, m)
+
+    def test_sixteen_qubits_quarter_marked(self):
+        size = 2**16
+        marked = np.random.default_rng(16).choice(size, size=size // 4, replace=False)
+        problem = SearchProblem(16, frozenset(marked.tolist()))
+        _assert_matches_reference(problem, 2)
+        assert success_probability(problem, grover_general(problem, 1)) == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 5, 12])
+    def test_start_entries_are_popcount_signs(self, n_qubits):
+        size = 2**n_qubits
+        start = grover_start(SearchProblem(n_qubits, frozenset({0})))
+        assert start.dtype == complex
+        expected = [(-1) ** bin(x).count("1") / math.sqrt(size) for x in range(size)]
+        assert start.real.tolist() == expected
+        assert not start.imag.any()
+
+    def test_iterate_leaves_input_unchanged(self):
+        problem = SearchProblem(3, frozenset({5}))
+        psi = grover_start(problem)
+        before = psi.copy()
+        grover_iterate(problem, psi)
+        assert np.array_equal(psi, before)
 
 
 def _dense_reflection_iterate(n_qubits, marked, iterations):
@@ -190,6 +261,28 @@ class TestGeneralSearch:
         with pytest.raises(ValueError):
             SearchProblem(21, frozenset({0}))
 
+    @pytest.mark.parametrize("marked", [{1.5}, {2.0}, {0, 0.5}, {"1"}, {None}])
+    def test_rejects_non_integer_index(self, marked):
+        with pytest.raises(ValueError, match="integers"):
+            SearchProblem(2, frozenset(marked))
+
+    @pytest.mark.parametrize("marked", [{-1}, {0, -3}, {4}, {1, 4}, {2**70}])
+    def test_rejects_out_of_range_index(self, marked):
+        with pytest.raises(ValueError):
+            SearchProblem(2, frozenset(marked))
+
+    def test_equality_and_hash_come_from_marked_set(self):
+        a = SearchProblem(3, frozenset({1, 6, 2}))
+        b = SearchProblem(3, (6, 2, 1))
+        c = SearchProblem(3, frozenset({np.int64(2), 1, 6}))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert {a: "first", b: "second"} == {c: "second"}
+        assert a != SearchProblem(3, frozenset({1, 6}))
+        assert sorted(a.marked_indices.tolist()) == [1, 2, 6]
+        assert a.marked_indices.dtype == np.intp
+        assert "marked_indices" not in repr(a)
+
 
 class TestOptimalIterations:
     @pytest.mark.parametrize(
@@ -234,6 +327,25 @@ class TestClassicalComparator:
         rng = np.random.default_rng(1234)
         mean, stderr = monte_carlo_evaluations(100, 10, 1_000_000, rng)
         assert abs(mean - 101 / 11) <= 3 * stderr
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_evaluations(8, 1, trials, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n,k,trials,seed,expected",
+        [
+            (8, 1, 5, 0, (3.2, 0.9695359714832658)),
+            (8, 1, 1, 0, (3.0, 0.0)),
+            (1024, 3, 7, 11, (313.85714285714283, 82.79447548036056)),
+        ],
+    )
+    def test_random_stream_frozen(self, n, k, trials, seed, expected):
+        # values of the draw-by-draw sampler at these seeds; a change to how
+        # it consumes the generator changes them
+        got = monte_carlo_evaluations(n, k, trials, np.random.default_rng(seed))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_rejects_zero_marked(self):
         with pytest.raises(ValueError):

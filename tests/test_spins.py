@@ -11,7 +11,6 @@ from spinsearch.core import (
     IX,
     IY,
     SIGMA_X,
-    check_density_matrix,
     density_from_state,
     equal_up_to_global_phase,
     is_unitary,
@@ -32,6 +31,7 @@ from spinsearch.spins import (
     state_00,
     temporal_average_00,
 )
+from state_checks import check_density_matrix
 
 offsets = st.floats(-500, 500, allow_nan=False)
 gaps = st.floats(71.0, 600.0, allow_nan=False)  # > 10 J at J = 7 Hz
