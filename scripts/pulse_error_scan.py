@@ -25,6 +25,7 @@ from spinsearch.readout import (
     classify,
     detect,
     reference_phase,
+    synthesize_fid,
 )
 from spinsearch.sequence import grover_program, run_sequence
 from spinsearch.spins import ErrorModel, SpinSystem, pseudo_pure_00, state_00
@@ -41,7 +42,8 @@ def main() -> int:
 
     sys_ = SpinSystem()
     acq = AcquisitionParams()
-    ref = detect(sys_, state_00(), acq)
+    lines = synthesize_fid(sys_, acq)
+    ref = detect(sys_, state_00(), acq, lines)
     phase = reference_phase(ref)
     ref_integrals = tuple(float(p.integral) for p in classify(ref, phase).peaks)
 
@@ -59,7 +61,7 @@ def main() -> int:
             )
             fids.append(fidelity(basis_state(2, label.index), rho))
             try:
-                result = classify(detect(sys_, rho, acq), phase, ref_integrals)
+                result = classify(detect(sys_, rho, acq, lines), phase, ref_integrals)
                 reads.append(f"{result.qubit1}{result.qubit2}")
             except AmbiguousReadoutError:
                 reads.append("??")

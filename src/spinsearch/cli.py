@@ -88,9 +88,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         j=raw.get("j_hz", 7.0),
         t2=raw.get("t2_s", 1.0),
     )
+    n_points = raw.get("n_points", 4096.0)
+    if not n_points.is_integer():
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     acq = AcquisitionParams(
         spectral_width=raw.get("spectral_width_hz", 512.0),
-        n_points=int(raw.get("n_points", 4096)),
+        n_points=int(n_points),
     )
     epsilon = args.epsilon if args.epsilon is not None else raw.get("epsilon", 1.0)
     err = ErrorModel("soft-pulse", args.error_tp) if args.error_tp else IDEAL

@@ -19,6 +19,7 @@ from .readout import (
     detect,
     reference_phase,
     summary_document,
+    synthesize_fid,
 )
 from .sequence import grover_program, run_sequence
 from .spins import ErrorModel, IDEAL, SpinSystem, pseudo_pure_00, state_00
@@ -73,9 +74,11 @@ def run_experiments(
     """Acquire the reference and the four labelled search experiments.
 
     The reference is a plain detection of |00><00|; its phase correction and
-    line integrals calibrate all four experiment spectra.
+    line integrals calibrate all four experiment spectra.  All five
+    detections share one line basis.
     """
-    ref_spec = detect(sys, state_00(), acq)
+    lines = synthesize_fid(sys, acq)
+    ref_spec = detect(sys, state_00(), acq, lines)
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase)
     ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
@@ -84,7 +87,7 @@ def run_experiments(
     for label in ALL_LABELS:
         rho0 = pseudo_pure_00(epsilon)
         rho = run_sequence(sys, grover_program(label, sys), rho0, err)
-        spec = detect(sys, rho, acq)
+        spec = detect(sys, rho, acq, lines)
         result = classify(spec, phase, ref_integrals)
         target = basis_state(2, label.index)
         runs.append(ExperimentRun(label, spec, result, fidelity(target, rho)))

@@ -5,11 +5,16 @@ The detected signal is s(t) = Tr(rho(t) (I1+ + I2+)) * exp(-t/T2) under free
 evolution, sampled at dwell 1/spectral_width.  Each spin contributes a
 doublet at nu_i +/- J/2; after phasing against a reference, a positive
 absorption pair reads as qubit value 0 and a negative pair as 1.
+
+The signal is linear in rho and has four known lines, so the waveforms of
+those lines, the decay envelope, the frequency grid and the line windows
+(together the line basis, built by ``synthesize_fid``) depend only on the
+spin system and the acquisition.  An experiment set builds the basis once;
+each detection is then a 4-term combination, one decay multiply and one FFT.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -44,6 +49,9 @@ class AcquisitionParams:
     observe_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("spectral_width", "observe_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.spectral_width <= 0:
             raise ValueError("spectral width must be positive")
         if self.n_points < 1024 or self.n_points & (self.n_points - 1):
@@ -102,50 +110,101 @@ def line_centers(sys: SpinSystem) -> tuple[tuple[float, int], ...]:
     return tuple(sorted(lines))
 
 
-def synthesize_fid(sys: SpinSystem, rho: np.ndarray, acq: AcquisitionParams) -> np.ndarray:
-    """Free-induction decay of rho: quadrature signal with exponential decay."""
+@dataclass(frozen=True, eq=False)
+class LineBasis:
+    """The rho-independent part of detection for one spin system and
+    acquisition, shared by every detection of an experiment set.
+
+    ``couplings`` lists the (i, j, O_ji) coherences the observable picks up,
+    in detection order; ``waves`` holds their undamped waveforms
+    exp(-i 2 pi (E_i - E_j) t), and ``decay`` the envelope exp(-t/T2).
+    ``windows`` are the +/- 3 linewidth index ranges around the four
+    predicted line centres, in ``line_centers`` order.  Every array is
+    read-only.
+    """
+
+    system: SpinSystem
+    acquisition: AcquisitionParams
+    couplings: tuple[tuple[int, int, np.complex128], ...]
+    waves: tuple[np.ndarray, ...]
+    decay: np.ndarray
+    freq_hz: np.ndarray
+    windows: tuple[slice, ...]
+
+
+def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
+    """Build the line basis the detected FID of any rho is a combination of.
+
+    The FID is linear in rho: each of the four observable coherences rho_ij
+    evolves as exp(-i 2 pi (E_i - E_j) t), couples to O_ji and decays at
+    rate 1/T2.  Those waveforms, the frequency grid and the line windows
+    depend only on (sys, acq), so an experiment set builds them once and
+    each detection only combines them.  Raises ValueError if the spectral
+    width would alias the doublets.
+    """
+    limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
+    if acq.spectral_width <= limit:
+        raise ValueError(f"spectral width too small: lines would alias (need > {limit} Hz)")
     t = np.arange(acq.n_points) * acq.dwell
     energies = np.diag(hamiltonian(sys)).real
     observe = OBSERVE_1 + OBSERVE_2
-    fid = np.zeros(acq.n_points, dtype=complex)
     rows, cols = np.nonzero(observe.T)
-    for i, j in zip(rows, cols):
-        # rho_ij evolves as exp(-i 2 pi (E_i - E_j) t) and couples to O_ji
-        fid += observe[j, i] * rho[i, j] * np.exp(-2j * math.pi * (energies[i] - energies[j]) * t)
-    return fid * np.exp(-t / sys.t2)
+    couplings = tuple((int(i), int(j), observe[j, i]) for i, j in zip(rows, cols))
+    waves = []
+    for i, j, _ in couplings:
+        wave = -2j * math.pi * (energies[i] - energies[j]) * t
+        waves.append(_read_only(np.exp(wave, out=wave)))
+    decay = -t / sys.t2
+    np.exp(decay, out=decay)
+    freq = np.fft.fftshift(np.fft.fftfreq(acq.n_points, d=acq.dwell))
+    width = 1.0 / (math.pi * sys.t2)
+    windows = []
+    for center, _ in line_centers(sys):
+        # freq ascends, so the points within the window form one run
+        inside = np.flatnonzero(np.abs(freq - center) <= 3 * width)
+        windows.append(slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0))
+    return LineBasis(
+        sys, acq, couplings, tuple(waves), _read_only(decay), _read_only(freq), tuple(windows)
+    )
 
 
-def detect(sys: SpinSystem, rho: np.ndarray, acq: AcquisitionParams) -> Spectrum:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def detect(
+    sys: SpinSystem, rho: np.ndarray, acq: AcquisitionParams, lines: LineBasis | None = None
+) -> Spectrum:
     """Crush gradients, fire the observe pulse, transform the FID.
 
-    Raises ValueError if the spectral width would alias the doublets.
+    The FID is the 4-term combination of the line basis ``lines`` with
+    coefficients O_ji * rho_ij, times the decay envelope; without ``lines``
+    the basis is built for this one detection.  The returned spectrum shares
+    the basis's read-only frequency grid.  Raises ValueError if the spectral
+    width would alias the doublets or ``lines`` was built for another system
+    or acquisition.
     """
-    if acq.spectral_width <= 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j):
-        raise ValueError(
-            "spectral width too small: lines would alias "
-            f"(need > {2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)} Hz)"
-        )
+    if lines is None:
+        lines = synthesize_fid(sys, acq)
+    elif lines.system != sys or lines.acquisition != acq:
+        raise ValueError("line basis was built for a different system or acquisition")
     rho = gradient_crush(np.asarray(rho, dtype=complex))
     u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
     rho = u_obs @ rho @ u_obs.conj().T
-    fid = synthesize_fid(sys, rho, acq)
+    fid = np.zeros(acq.n_points, dtype=complex)
+    for (i, j, o_ji), wave in zip(lines.couplings, lines.waves):
+        fid += o_ji * rho[i, j] * wave
+    fid *= lines.decay
     fid[0] *= 0.5  # half-first-point convention keeps the baseline flat
-    values = np.fft.fftshift(np.fft.fft(fid))
-    freq = np.fft.fftshift(np.fft.fftfreq(acq.n_points, d=acq.dwell))
+    spectrum = np.fft.fft(fid)
+    del fid  # release the FID before fftshift copies the spectrum
+    values = np.fft.fftshift(spectrum)
     peaks = tuple(
-        Peak(center, _window_integral(freq, values, center, sys, acq), spin)
-        for center, spin in line_centers(sys)
+        Peak(center, complex(np.sum(values[window]) * acq.resolution), spin)
+        for (center, spin), window in zip(line_centers(sys), lines.windows)
     )
-    return Spectrum(freq, values, peaks)
-
-
-def _window_integral(
-    freq: np.ndarray, values: np.ndarray, center: float, sys: SpinSystem, acq: AcquisitionParams
-) -> complex:
-    """Complex integral over +/- 3 linewidths around a predicted centre."""
-    width = 1.0 / (math.pi * sys.t2)
-    mask = np.abs(freq - center) <= 3 * width
-    return complex(np.sum(values[mask]) * acq.resolution)
+    return Spectrum(lines.freq_hz, values, peaks)
 
 
 def reference_phase(ref: Spectrum, min_magnitude: float = 1e-10) -> float:
@@ -215,19 +274,21 @@ def classify(
 
 
 def write_spectrum_csv(path: str, spec: Spectrum) -> None:
-    """CSV export (freq_hz,real,imag), ascending frequency, atomic write."""
+    """CSV export (freq_hz,real,imag as shortest round-trip float reprs, CRLF
+    line ends), ascending frequency, atomic write."""
     order = np.argsort(spec.freq_hz)
+    values = spec.values[order]
+    rows = "".join(
+        f"{f!r},{re!r},{im!r}\r\n"
+        for f, re, im in zip(
+            spec.freq_hz[order].tolist(), values.real.tolist(), values.imag.tolist()
+        )
+    )
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["freq_hz", "real", "imag"])
-            for idx in order:
-                writer.writerow(
-                    [repr(float(spec.freq_hz[idx])),
-                     repr(float(spec.values[idx].real)),
-                     repr(float(spec.values[idx].imag))]
-                )
+            fh.write("freq_hz,real,imag\r\n")
+            fh.write(rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

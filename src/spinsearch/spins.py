@@ -54,6 +54,9 @@ class SpinSystem:
     t2: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("nu1", "nu2", "j", "t2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.j <= 0:
             raise ValueError("J must be positive")
         if self.t2 <= 0:
@@ -84,6 +87,8 @@ class ErrorModel:
     def __post_init__(self) -> None:
         if self.mode not in ("none", "soft-pulse"):
             raise ValueError(f"unknown error mode {self.mode!r}")
+        if not math.isfinite(self.t_p):
+            raise ValueError("t_p must be finite")
         if self.mode == "soft-pulse" and self.t_p <= 0:
             raise ValueError("soft-pulse mode requires t_p > 0")
 

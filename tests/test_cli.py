@@ -185,6 +185,29 @@ class TestPulseCommand:
         code, _, err = run_cli(capsys, "pulse", "--config", str(bad))
         assert code == EXIT_USAGE
 
+    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("t2_s = nan\n")
+        code, _, err = run_cli(capsys, "pulse", "--config", str(bad), "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "t2 must be finite" in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_non_finite_pulse_duration_is_usage_error(self, capsys, tmp_path, fast_config):
+        code, _, err = run_cli(capsys, "pulse", "--config", fast_config, "--error-tp", "nan",
+                               "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "t_p must be finite" in err
+
+    @pytest.mark.parametrize("value", ["4096.7", "1024.5", "inf"])
+    def test_fractional_n_points_is_usage_error(self, capsys, tmp_path, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n_points = {value}\n")
+        code, _, err = run_cli(capsys, "pulse", "--config", str(bad), "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "n_points must be an integer" in err
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestConfigParser:
     def test_parses_keys_and_comments(self, tmp_path):

@@ -1,13 +1,19 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from spinsearch.core import basis_state, density_from_state
+from spinsearch import readout
+from spinsearch.core import basis_state, density_from_state, fidelity
+from spinsearch.experiment import run_experiments
+from spinsearch.grover import ALL_LABELS
 from spinsearch.readout import (
+    OBSERVE_1,
+    OBSERVE_2,
     AcquisitionParams,
     AmbiguousReadoutError,
     Peak,
@@ -17,10 +23,21 @@ from spinsearch.readout import (
     line_centers,
     reference_phase,
     summary_document,
+    synthesize_fid,
     write_spectrum_csv,
     write_summary_json,
 )
-from spinsearch.spins import SpinSystem, state_00
+from spinsearch.sequence import grover_program, run_sequence
+from spinsearch.spins import (
+    IDEAL,
+    ErrorModel,
+    SpinSystem,
+    gradient_crush,
+    hamiltonian,
+    ideal_pulse,
+    pseudo_pure_00,
+    state_00,
+)
 
 SYS = SpinSystem()
 ACQ = AcquisitionParams()
@@ -28,6 +45,102 @@ ACQ = AcquisitionParams()
 
 def rho_basis(index):
     return density_from_state(basis_state(2, index))
+
+
+def _reference_synthesize_fid(sys, rho, acq):
+    """Per-detection FID synthesis: the four damped line waveforms evaluated
+    afresh for every rho (what the shared line basis replaced)."""
+    t = np.arange(acq.n_points) * acq.dwell
+    energies = np.diag(hamiltonian(sys)).real
+    observe = OBSERVE_1 + OBSERVE_2
+    fid = np.zeros(acq.n_points, dtype=complex)
+    rows, cols = np.nonzero(observe.T)
+    for i, j in zip(rows, cols):
+        # rho_ij evolves as exp(-i 2 pi (E_i - E_j) t) and couples to O_ji
+        fid += observe[j, i] * rho[i, j] * np.exp(-2j * math.pi * (energies[i] - energies[j]) * t)
+    return fid * np.exp(-t / sys.t2)
+
+
+def _reference_detect(sys, rho, acq):
+    """Detection with a fresh FID, frequency grid and boolean line masks."""
+    if acq.spectral_width <= 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j):
+        raise ValueError("spectral width too small: lines would alias")
+    rho = gradient_crush(np.asarray(rho, dtype=complex))
+    u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
+    rho = u_obs @ rho @ u_obs.conj().T
+    fid = _reference_synthesize_fid(sys, rho, acq)
+    fid[0] *= 0.5
+    values = np.fft.fftshift(np.fft.fft(fid))
+    freq = np.fft.fftshift(np.fft.fftfreq(acq.n_points, d=acq.dwell))
+    width = 1.0 / (math.pi * sys.t2)
+    peaks = tuple(
+        Peak(center, complex(np.sum(values[np.abs(freq - center) <= 3 * width]) * acq.resolution),
+             spin)
+        for center, spin in line_centers(sys)
+    )
+    return Spectrum(freq, values, peaks)
+
+
+def _reference_write_spectrum_csv(path, spec):
+    """The csv.writer export that write_spectrum_csv must match byte for byte."""
+    order = np.argsort(spec.freq_hz)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["freq_hz", "real", "imag"])
+        for idx in order:
+            writer.writerow(
+                [repr(float(spec.freq_hz[idx])),
+                 repr(float(spec.values[idx].real)),
+                 repr(float(spec.values[idx].imag))]
+            )
+
+
+def _reference_experiments(sys, acq, epsilon, err):
+    """run_experiments with every detection made by _reference_detect:
+    (reference spectrum, phase, reference result, [(spectrum, result, fidelity)])."""
+    ref_spec = _reference_detect(sys, state_00(), acq)
+    phase = reference_phase(ref_spec)
+    ref_result = classify(ref_spec, phase)
+    ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
+    runs = []
+    for label in ALL_LABELS:
+        rho = run_sequence(sys, grover_program(label, sys), pseudo_pure_00(epsilon), err)
+        spec = _reference_detect(sys, rho, acq)
+        result = classify(spec, phase, ref_integrals)
+        runs.append((spec, result, fidelity(basis_state(2, label.index), rho)))
+    return ref_spec, phase, ref_result, runs
+
+
+def _assert_identical_spectra(actual, expected):
+    assert np.array_equal(actual.values, expected.values)
+    assert np.array_equal(actual.freq_hz, expected.freq_hz)
+    assert len(actual.peaks) == len(expected.peaks) == 4
+    for got, want in zip(actual.peaks, expected.peaks):
+        assert got.center_hz == want.center_hz
+        assert got.integral == want.integral
+        assert got.assigned_spin == want.assigned_spin
+
+
+@st.composite
+def detection_inputs(draw):
+    """A validated spin system, a non-aliasing acquisition and a random
+    Hermitian unit-trace rho."""
+    j = draw(st.floats(0.5, 10.0))
+    nu1 = draw(st.floats(-200.0, 200.0))
+    nu2 = nu1 + draw(st.sampled_from([-1.0, 1.0])) * j * draw(st.floats(10.01, 40.0))
+    sys = SpinSystem(nu1=nu1, nu2=nu2, j=j, t2=draw(st.floats(0.05, 20.0)))
+    limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
+    acq = AcquisitionParams(
+        spectral_width=limit * draw(st.floats(1.0001, 4.0)),
+        n_points=draw(st.sampled_from([1024, 2048, 4096])),
+        observe_phase=draw(st.floats(0.0, 360.0, exclude_max=True)),
+    )
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
+    a = (parts[:16] + 1j * parts[16:]).reshape(4, 4)
+    h = a + a.conj().T
+    trace = float(np.trace(h).real)
+    assume(abs(trace) > 0.1)
+    return sys, acq, h / trace
 
 
 class TestAcquisitionParams:
@@ -43,6 +156,12 @@ class TestAcquisitionParams:
     def test_aliasing_guard(self):
         with pytest.raises(ValueError, match="alias"):
             detect(SYS, state_00(), AcquisitionParams(spectral_width=128.0, n_points=1024))
+
+    @pytest.mark.parametrize("field", ["spectral_width", "observe_phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            AcquisitionParams(**{field: value})
 
 
 class TestDetect:
@@ -106,6 +225,69 @@ class TestDetect:
             SYS, rho_b, ACQ
         ).values
         assert float(np.max(np.abs(blended.values - separate))) <= 1e-10
+
+
+class TestLineBasis:
+    @given(detection_inputs())
+    def test_detect_matches_per_detection_reference(self, inputs):
+        sys, acq, rho = inputs
+        expected = _reference_detect(sys, rho, acq)
+        _assert_identical_spectra(detect(sys, rho, acq), expected)
+        _assert_identical_spectra(detect(sys, rho, acq, synthesize_fid(sys, acq)), expected)
+
+    @pytest.mark.parametrize(
+        "err, acq",
+        [
+            (IDEAL, ACQ),
+            (ErrorModel("soft-pulse", 1e-4), ACQ),
+            (IDEAL, AcquisitionParams(n_points=1024, observe_phase=37.0)),
+            (ErrorModel("soft-pulse", 2e-4), AcquisitionParams(n_points=2048, observe_phase=213.0)),
+        ],
+        ids=["ideal", "soft", "ideal-1024-phase37", "soft-2048-phase213"],
+    )
+    def test_experiment_set_matches_per_detection_reference(self, err, acq):
+        out = run_experiments(SYS, acq, 0.37, err)
+        ref_spec, phase, ref_result, runs = _reference_experiments(SYS, acq, 0.37, err)
+        assert out.phase_deg == phase
+        _assert_identical_spectra(out.reference_spectrum, ref_spec)
+        assert out.reference_result == ref_result
+        assert len(out.runs) == len(runs)
+        for run, (spec, result, fid) in zip(out.runs, runs):
+            _assert_identical_spectra(run.spectrum, spec)
+            assert run.result == result
+            assert run.fidelity == fid
+
+    def test_basis_for_equal_configuration_is_accepted(self):
+        lines = synthesize_fid(SpinSystem(), AcquisitionParams())
+        _assert_identical_spectra(detect(SYS, state_00(), ACQ, lines), detect(SYS, state_00(), ACQ))
+
+    @pytest.mark.parametrize(
+        "sys, acq",
+        [
+            (SpinSystem(nu1=90.0), ACQ),
+            (SpinSystem(t2=2.0), ACQ),
+            (SYS, AcquisitionParams(n_points=2048)),
+            (SYS, AcquisitionParams(spectral_width=600.0)),
+            (SYS, AcquisitionParams(observe_phase=90.0)),
+        ],
+        ids=["nu1", "t2", "n_points", "spectral_width", "observe_phase"],
+    )
+    def test_basis_for_other_configuration_rejected(self, sys, acq):
+        lines = synthesize_fid(SYS, ACQ)
+        with pytest.raises(ValueError, match="different system or acquisition"):
+            detect(sys, state_00(), acq, lines)
+
+    def test_shared_arrays_are_read_only(self):
+        lines = synthesize_fid(SYS, ACQ)
+        for array in (*lines.waves, lines.decay, lines.freq_hz):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        out = run_experiments(SYS, ACQ)
+        spectra = [out.reference_spectrum] + [run.spectrum for run in out.runs]
+        assert all(spec.freq_hz is spectra[0].freq_hz for spec in spectra)
+        with pytest.raises(ValueError):
+            spectra[0].freq_hz[0] = 0.0
 
 
 class TestReferencePhase:
@@ -228,6 +410,38 @@ class TestExports:
         assert freqs == sorted(freqs)
         assert len(freqs) == ACQ.n_points
 
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        tiny = 5e-324  # smallest subnormal
+        freq = np.array([3.5, -0.0, 1e-310, -1.7976931348623157e308, 2.5e300, 0.1])
+        values = np.array([
+            complex(0.0, -0.0),
+            complex(-0.0, 0.0),
+            complex(tiny, -tiny),
+            complex(1.7976931348623157e308, -2.2250738585072014e-308),
+            complex(-1e-300, 1e300),
+            complex(1 / 3, -2 / 3),
+        ])
+        detected = detect(SYS, rho_basis(2), ACQ)
+        for spec in (Spectrum(freq, values), detected):
+            fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+            write_spectrum_csv(str(fast), spec)
+            _reference_write_spectrum_csv(str(reference), spec)
+            assert fast.read_bytes() == reference.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.csv", "reference.csv"]
+
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"previous")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(readout.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_spectrum_csv(str(path), detect(SYS, state_00(), ACQ))
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
     def test_summary_document_shape(self):
         phase, ref = _phase_and_reference()
         result = classify(detect(SYS, rho_basis(2), ACQ), phase, ref)
@@ -248,3 +462,4 @@ class TestExports:
         assert loaded[0]["experiment"] == "ref"
         assert loaded[0]["qubits"] == [0, 0]
         assert not list(tmp_path.glob("*.tmp"))
+

@@ -57,6 +57,12 @@ class TestSpinSystem:
         with pytest.raises(ValueError):
             SpinSystem(**kwargs)
 
+    @pytest.mark.parametrize("field", ["nu1", "nu2", "j", "t2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SpinSystem(**{field: value})
+
 
 class TestFreeEvolution:
     def test_zero_time_is_identity(self):
@@ -150,6 +156,12 @@ class TestSoftPulse:
             ErrorModel("soft-pulse", 0.0)
         with pytest.raises(ValueError):
             ErrorModel("loud-pulse", 1e-3)
+
+    @pytest.mark.parametrize("mode", ["none", "soft-pulse"])
+    @pytest.mark.parametrize("t_p", [math.nan, math.inf])
+    def test_error_model_rejects_non_finite_duration(self, mode, t_p):
+        with pytest.raises(ValueError, match="finite"):
+            ErrorModel(mode, t_p)
 
 
 def rotation_axis(phase_deg):
