@@ -2,14 +2,7 @@
 quantum search algorithm: an exact gate-level layer plus a pulse-level
 density-matrix layer with compiled RF sequences and spectral readout."""
 
-from .core import (
-    apply_unitary,
-    coherence_order,
-    equal_up_to_global_phase,
-    fidelity,
-    is_unitary,
-    kron,
-)
+from .core import apply_unitary, fidelity, is_unitary
 from .grover import (
     OracleLabel,
     SearchProblem,
@@ -46,10 +39,8 @@ __all__ = [
     "apply_unitary",
     "classical_expected_evaluations",
     "classify",
-    "coherence_order",
     "compile_oracle",
     "detect",
-    "equal_up_to_global_phase",
     "fidelity",
     "format_sequence",
     "free_evolution",
@@ -57,7 +48,6 @@ __all__ = [
     "grover2_circuit",
     "grover_general",
     "is_unitary",
-    "kron",
     "optimal_iterations",
     "oracle_matrix",
     "parse_sequence",

@@ -168,8 +168,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         for n_qubits in range(2, args.n + 1):
             size = 2**n_qubits
             for k in sorted({1, size // 4, size // 2}):
-                if k < 1:
-                    continue
                 print(_search_row(n_qubits, k, None, args.seed, args.trials))
         return EXIT_OK
     if args.k > 2**args.n:

@@ -23,11 +23,6 @@ IY = SIGMA_Y / 2
 IZ = SIGMA_Z / 2
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     """True iff max|U†U - I| <= tol."""
     u = np.asarray(u, dtype=complex)
@@ -96,41 +91,13 @@ def apply_single_qubit(u2: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarra
     return out.reshape(-1)
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff a == c*b for some unit-modulus c, within max-norm tol.
-
-    The candidate c is read off the largest-magnitude entry of b.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    flat_b = b.ravel()
-    k = int(np.argmax(np.abs(flat_b)))
-    if abs(flat_b[k]) == 0.0:
-        raise ValueError("reference array is identically zero")
-    ratio = a.ravel()[k] / flat_b[k]
-    if abs(ratio) < tol:
-        return False
-    c = ratio / abs(ratio)
-    return float(np.max(np.abs(a - c * b))) <= tol
-
-
-def coherence_order(i: int, j: int, n_qubits: int) -> int:
-    """Coherence order of the density-matrix element rho_ij.
-
-    Defined as popcount(j) - popcount(i): the difference in the number of
-    spins in |1> between the bra and ket side.  Field-gradient pulses dephase
-    every element with nonzero order.
-    """
-    dim = 2**n_qubits
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ValueError(f"indices ({i}, {j}) out of range for {n_qubits} qubits")
-    return bin(j).count("1") - bin(i).count("1")
-
-
 def coherence_order_matrix(n_qubits: int) -> np.ndarray:
-    """Matrix of coherence orders for all (i, j) pairs."""
+    """Matrix of coherence orders for all (i, j) pairs.
+
+    The order of rho_ij is popcount(j) - popcount(i): the difference in the
+    number of spins in |1> between the bra and ket side.  Field-gradient
+    pulses dephase every element with nonzero order.
+    """
     pops = np.array([bin(i).count("1") for i in range(2**n_qubits)])
     return pops[None, :] - pops[:, None]
 

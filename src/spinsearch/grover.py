@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_unitary, basis_state, kron
+from .core import apply_unitary, basis_state
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -92,13 +92,6 @@ class SearchProblem:
         return len(self.marked)
 
 
-def ry(beta_deg: float) -> np.ndarray:
-    """Ry(beta) = exp(-i*beta*sigma_y/2)."""
-    half = math.radians(beta_deg) / 2
-    c, s = math.cos(half), math.sin(half)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def pseudo_hadamard() -> np.ndarray:
     """h = Ry(90 deg): maps each eigenstate to a signed uniform superposition."""
     return np.array([[1, -1], [1, 1]], dtype=complex) / _SQRT2
@@ -118,8 +111,8 @@ def oracle_matrix(label: OracleLabel) -> np.ndarray:
 
 
 # The label-independent gates of the two-qubit circuit.
-_H2 = kron(pseudo_hadamard(), pseudo_hadamard())
-_HINV2 = kron(pseudo_hadamard_inverse(), pseudo_hadamard_inverse())
+_H2 = np.kron(pseudo_hadamard(), pseudo_hadamard())
+_HINV2 = np.kron(pseudo_hadamard_inverse(), pseudo_hadamard_inverse())
 _U_00 = oracle_matrix(OracleLabel(0, 0))
 
 
@@ -187,12 +180,6 @@ def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
 def success_probability(problem: SearchProblem, psi: np.ndarray) -> float:
     """Total probability of measuring a marked index."""
     return float(np.sum(np.abs(psi[problem.marked_indices]) ** 2))
-
-
-def predicted_success_probability(n: int, k: int, iterations: int) -> float:
-    """sin^2((2m+1) * asin(sqrt(k/N))): the exact rotation-picture value."""
-    theta = math.asin(math.sqrt(k / n))
-    return math.sin((2 * iterations + 1) * theta) ** 2
 
 
 def optimal_iterations(problem: SearchProblem) -> int:

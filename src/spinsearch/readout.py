@@ -17,18 +17,24 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IDENTITY_2, IX, IY, kron
-from .spins import SpinSystem, gradient_crush, hamiltonian, ideal_pulse
+from .core import IDENTITY_2, IX, IY
+from .spins import SpinSystem, energies, gradient_crush, ideal_pulse
 
 RAISING = IX + 1j * IY  # |0><1| on one spin
-OBSERVE_1 = kron(RAISING, IDENTITY_2)
-OBSERVE_2 = kron(IDENTITY_2, RAISING)
+OBSERVE_1 = np.kron(RAISING, IDENTITY_2)
+OBSERVE_2 = np.kron(IDENTITY_2, RAISING)
+
+# Line integrals at or below these magnitudes count as no signal: in the
+# reference (reference_phase) and in a doublet being read (classify).
+MIN_REFERENCE_MAGNITUDE = 1e-10
+MIN_DOUBLET_SIGNAL = 1e-10
 
 
 class AmbiguousReadoutError(RuntimeError):
@@ -54,8 +60,13 @@ class AcquisitionParams:
                 raise ValueError(f"{name} must be finite")
         if self.spectral_width <= 0:
             raise ValueError("spectral width must be positive")
-        if self.n_points < 1024 or self.n_points & (self.n_points - 1):
+        try:
+            n_points = operator.index(self.n_points)
+        except TypeError:
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
+        if n_points < 1024 or n_points & (n_points - 1):
             raise ValueError("n_points must be a power of two >= 1024")
+        object.__setattr__(self, "n_points", n_points)
 
     @property
     def dwell(self) -> float:
@@ -146,13 +157,13 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     if acq.spectral_width <= limit:
         raise ValueError(f"spectral width too small: lines would alias (need > {limit} Hz)")
     t = np.arange(acq.n_points) * acq.dwell
-    energies = np.diag(hamiltonian(sys)).real
+    levels = energies(sys)
     observe = OBSERVE_1 + OBSERVE_2
     rows, cols = np.nonzero(observe.T)
     couplings = tuple((int(i), int(j), observe[j, i]) for i, j in zip(rows, cols))
     waves = []
     for i, j, _ in couplings:
-        wave = -2j * math.pi * (energies[i] - energies[j]) * t
+        wave = -2j * math.pi * (levels[i] - levels[j]) * t
         waves.append(_read_only(np.exp(wave, out=wave)))
     decay = -t / sys.t2
     np.exp(decay, out=decay)
@@ -207,7 +218,7 @@ def detect(
     return Spectrum(lines.freq_hz, values, peaks)
 
 
-def reference_phase(ref: Spectrum, min_magnitude: float = 1e-10) -> float:
+def reference_phase(ref: Spectrum) -> float:
     """Zero-order phase correction (degrees) that turns the detected lines of
     the reference into positive absorption, accurate to well within 1 degree.
 
@@ -215,11 +226,11 @@ def reference_phase(ref: Spectrum, min_magnitude: float = 1e-10) -> float:
     doublet partner leaks into its window, so the estimate is exact for a
     common-phase reference; individual lines keep a few degrees of leakage
     residue.  Raises AmbiguousReadoutError when no line rises above
-    ``min_magnitude`` or when the lines do not share a common phase (a sign
-    the input is not a valid reference).
+    ``MIN_REFERENCE_MAGNITUDE`` or when the lines do not share a common
+    phase (a sign the input is not a valid reference).
     """
     integrals = np.array([p.integral for p in ref.peaks])
-    significant = integrals[np.abs(integrals) > min_magnitude]
+    significant = integrals[np.abs(integrals) > MIN_REFERENCE_MAGNITUDE]
     if significant.size == 0:
         raise AmbiguousReadoutError("reference spectrum has no detectable peaks")
     phase = math.degrees(np.angle(np.sum(significant)))
@@ -231,10 +242,7 @@ def reference_phase(ref: Spectrum, min_magnitude: float = 1e-10) -> float:
 
 
 def classify(
-    spec: Spectrum,
-    phase_corr: float,
-    ref_integrals: tuple[float, ...] | None = None,
-    min_signal: float = 1e-10,
+    spec: Spectrum, phase_corr: float, ref_integrals: tuple[float, ...] | None = None
 ) -> ReadoutResult:
     """Phase the spectrum, integrate the four expected lines, and read each
     qubit off the sign of its doublet.
@@ -243,8 +251,8 @@ def classify(
     configuration.  ``ref_integrals`` (the reference's phased line integrals,
     same line order) normalises the returned heights; without them heights
     are relative to this spectrum's own mean line magnitude.  Raises
-    AmbiguousReadoutError when a doublet has no signal or its two lines
-    disagree in sign.
+    AmbiguousReadoutError when a doublet has no line above
+    ``MIN_DOUBLET_SIGNAL`` or its two lines disagree in sign.
     """
     rot = np.exp(-1j * math.radians(phase_corr))
     integrals = np.array([(p.integral * rot).real for p in spec.peaks])
@@ -259,7 +267,7 @@ def classify(
     values: dict[int, int] = {}
     for spin in (1, 2):
         pair = [v for v, p in zip(integrals, spec.peaks) if p.assigned_spin == spin]
-        strong = [v for v in pair if abs(v) > min_signal]
+        strong = [v for v in pair if abs(v) > MIN_DOUBLET_SIGNAL]
         if not strong:
             raise AmbiguousReadoutError(f"no signal in the spin-{spin} doublet")
         signs = {v > 0 for v in strong}
@@ -278,22 +286,13 @@ def write_spectrum_csv(path: str, spec: Spectrum) -> None:
     line ends), ascending frequency, atomic write."""
     order = np.argsort(spec.freq_hz)
     values = spec.values[order]
-    rows = "".join(
+    rows = (
         f"{f!r},{re!r},{im!r}\r\n"
         for f, re, im in zip(
             spec.freq_hz[order].tolist(), values.real.tolist(), values.imag.tolist()
         )
     )
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write("freq_hz,real,imag\r\n")
-            fh.write(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "".join(["freq_hz,real,imag\r\n", *rows]))
 
 
 def summary_document(experiment: str, result: ReadoutResult, fidelity: float | None = None) -> dict:
@@ -317,11 +316,17 @@ def summary_document(experiment: str, result: ReadoutResult, fidelity: float | N
 
 def write_summary_json(path: str, documents: list[dict]) -> None:
     """Atomic write of the experiment summary list."""
+    _write_atomic(path, json.dumps(documents, indent=2) + "\n")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory and
+    os.replace, so a failed write leaves any previous file intact.  Line ends
+    are written as given."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(documents, fh, indent=2)
-            fh.write("\n")
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -7,11 +7,13 @@ Wire format, one event per line ('#' starts a comment):
     DELAY <seconds>
     GRAD
 
-with target one of 1, 2, both.  Round-trips bit-exactly through repr floats.
+with target one of 1, 2, both (SOFT only for 1 or 2).  Round-trips
+bit-exactly through repr floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +46,9 @@ class PulseEvent:
 
     Pulses carry a target (1, 2 or 'both'), flip angle and phase in degrees,
     and an optional soft duration; ``soft_tp`` forces the finite-duration
-    propagator for this event regardless of the run's error model.
+    propagator for this event regardless of the run's error model.  Events
+    that cannot run (a non-finite number, SOFT on a pulse to both spins) are
+    rejected here rather than when run.
     """
 
     kind: str
@@ -59,10 +63,19 @@ class PulseEvent:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind == PULSE and self.target not in (1, 2, TARGET_BOTH):
             raise ValueError(f"unknown pulse target {self.target!r}")
+        if not (
+            math.isfinite(self.angle_deg)
+            and math.isfinite(self.phase_deg)
+            and math.isfinite(self.duration)
+        ):
+            raise ValueError("angle_deg, phase_deg and duration must be finite")
         if self.kind == DELAY and self.duration < 0:
             raise ValueError("delay duration must be >= 0")
-        if self.soft_tp is not None and self.soft_tp <= 0:
-            raise ValueError("SOFT duration must be positive")
+        if self.soft_tp is not None:
+            if not (math.isfinite(self.soft_tp) and self.soft_tp > 0):
+                raise ValueError("SOFT duration must be positive and finite")
+            if self.target == TARGET_BOTH:
+                raise ValueError("SOFT pulses address a single spin")
 
 
 def pulse(target, angle_deg, phase_deg, soft_tp=None) -> PulseEvent:

@@ -1,4 +1,4 @@
-"""Two-spin dynamics: weak-coupling Hamiltonian, RF pulse propagators,
+"""Two-spin dynamics: weak-coupling energy levels, RF pulse propagators,
 gradient crushers and effective pure states.
 
 All frequencies are rotating-frame offsets in Hz; propagators are
@@ -23,17 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    IDENTITY_2,
-    IZ,
-    coherence_order_matrix,
-    density_from_state,
-    kron,
-)
-
-IZ1 = kron(IZ, IDENTITY_2)
-IZ2 = kron(IDENTITY_2, IZ)
-IZZ = kron(IZ, IZ)
+from .core import coherence_order_matrix, density_from_state
 
 TARGET_SPIN1 = 1
 TARGET_SPIN2 = 2
@@ -96,19 +86,20 @@ class ErrorModel:
 IDEAL = ErrorModel()
 
 
-def hamiltonian(sys: SpinSystem, nu1: float | None = None, nu2: float | None = None) -> np.ndarray:
-    """Weak-coupling Hamiltonian nu1*Iz1 + nu2*Iz2 + J*Iz1Iz2 in Hz (diagonal)."""
-    a = sys.nu1 if nu1 is None else nu1
-    b = sys.nu2 if nu2 is None else nu2
-    return a * IZ1 + b * IZ2 + sys.j * IZZ
+def energies(sys: SpinSystem) -> np.ndarray:
+    """The four product-basis energies nu1 m1 + nu2 m2 + J m1 m2 in Hz, the
+    diagonal of the weak-coupling Hamiltonian nu1 Iz1 + nu2 Iz2 + J Iz1 Iz2
+    (m = +1/2 for |0>, -1/2 for |1>)."""
+    return np.array(
+        [sys.nu1 * m1 + sys.nu2 * m2 + sys.j * m1 * m2 for m1 in (0.5, -0.5) for m2 in (0.5, -0.5)]
+    )
 
 
 def free_evolution(sys: SpinSystem, t: float) -> np.ndarray:
     """Propagator exp(-i 2*pi*t H) of free precession for duration t >= 0."""
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    h = hamiltonian(sys)
-    return np.diag(np.exp(-2j * math.pi * t * np.diag(h)))
+    return np.diag(np.exp(-2j * math.pi * t * energies(sys)))
 
 
 def _su2(theta: float, nx: float, ny: float, nz: float) -> tuple:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from spinsearch.core import basis_state, equal_up_to_global_phase, fidelity, is_unitary
+from spinsearch.core import basis_state, fidelity, is_unitary
 from spinsearch.grover import (
     ALL_LABELS,
     SearchProblem,
@@ -24,7 +24,6 @@ from spinsearch.grover import (
     monte_carlo_evaluations,
     optimal_iterations,
     oracle_matrix,
-    predicted_success_probability,
     success_probability,
 )
 from spinsearch.readout import AcquisitionParams, classify, detect, reference_phase
@@ -38,6 +37,7 @@ from spinsearch.spins import (
     pseudo_pure_00,
     state_00,
 )
+from state_checks import equal_up_to_global_phase, predicted_success_probability
 
 
 def report(name):

@@ -10,15 +10,17 @@ from spinsearch.core import (
     apply_single_qubit,
     apply_unitary,
     basis_state,
-    coherence_order,
     density_from_state,
-    equal_up_to_global_phase,
     fidelity,
     is_unitary,
-    kron,
 )
 from spinsearch.grover import pseudo_hadamard
-from state_checks import check_density_matrix, check_state_vector
+from state_checks import (
+    check_density_matrix,
+    check_state_vector,
+    coherence_order,
+    equal_up_to_global_phase,
+)
 
 
 def small_complex_matrix(dim):
@@ -33,20 +35,20 @@ def small_complex_matrix(dim):
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
+        assert np.array_equal(np.kron(IDENTITY_2, IDENTITY_2), np.eye(4))
 
     def test_sigma_z_pair(self):
-        assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]).astype(complex))
+        assert np.array_equal(np.kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]).astype(complex))
 
     def test_h_pair_on_00(self):
         h = pseudo_hadamard()
-        psi = kron(h, h) @ basis_state(2, 0)
+        psi = np.kron(h, h) @ basis_state(2, 0)
         assert np.allclose(psi, np.full(4, 0.5), atol=1e-15)
 
     @given(small_complex_matrix(2), small_complex_matrix(2), small_complex_matrix(2))
     def test_associativity(self, a, b, c):
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
+        left = np.kron(np.kron(a, b), c)
+        right = np.kron(a, np.kron(b, c))
         assert np.max(np.abs(left - right)) <= 1e-12
 
     @given(
@@ -56,8 +58,8 @@ class TestKron:
         small_complex_matrix(2),
     )
     def test_mixed_product(self, a, b, c, d):
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
+        left = np.kron(a, b) @ np.kron(c, d)
+        right = np.kron(a @ c, b @ d)
         assert np.max(np.abs(left - right)) <= 1e-12
 
 
@@ -72,11 +74,11 @@ class TestApplyUnitary:
         assert np.array_equal(out, -basis_state(2, 0))
 
     def test_bit_flip_most_significant(self):
-        out = apply_unitary(kron(SIGMA_X, IDENTITY_2), basis_state(2, 0))
+        out = apply_unitary(np.kron(SIGMA_X, IDENTITY_2), basis_state(2, 0))
         assert np.array_equal(out, basis_state(2, 2))
 
     def test_density_matrix_conjugation(self):
-        h2 = kron(pseudo_hadamard(), pseudo_hadamard())
+        h2 = np.kron(pseudo_hadamard(), pseudo_hadamard())
         rho = apply_unitary(h2, density_from_state(basis_state(2, 0)))
         check_density_matrix(rho)
         assert np.allclose(np.diag(rho), 0.25)
@@ -91,7 +93,7 @@ class TestApplyUnitary:
 
     @given(st.integers(0, 3), st.floats(0, 2 * np.pi, allow_nan=False))
     def test_norm_preserved(self, index, angle):
-        u = kron(pseudo_hadamard(), np.diag([1, np.exp(1j * angle)]))
+        u = np.kron(pseudo_hadamard(), np.diag([1, np.exp(1j * angle)]))
         psi = apply_unitary(u, basis_state(2, index))
         assert abs(np.sum(np.abs(psi) ** 2) - 1.0) <= 1e-12
 
@@ -104,7 +106,7 @@ class TestApplySingleQubit:
         psi /= np.linalg.norm(psi)
         h = pseudo_hadamard()
         factors = [h if q == qubit else IDENTITY_2 for q in (1, 2, 3)]
-        dense = kron(kron(factors[0], factors[1]), factors[2])
+        dense = np.kron(np.kron(factors[0], factors[1]), factors[2])
         assert np.allclose(apply_single_qubit(h, psi, qubit), dense @ psi, atol=1e-14)
 
     def test_bad_qubit_index(self):
@@ -126,7 +128,7 @@ class TestGlobalPhase:
 
     @given(st.floats(0, 2 * np.pi, allow_nan=False), st.integers(0, 3))
     def test_reflexive_symmetric_phase_invariant(self, angle, index):
-        h2 = kron(pseudo_hadamard(), pseudo_hadamard())
+        h2 = np.kron(pseudo_hadamard(), pseudo_hadamard())
         psi = h2 @ basis_state(2, index)
         rotated = np.exp(1j * angle) * psi
         assert equal_up_to_global_phase(psi, psi, 1e-12)

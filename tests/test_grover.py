@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinsearch.core import (
-    apply_single_qubit,
-    basis_state,
-    equal_up_to_global_phase,
-    is_unitary,
-)
+from spinsearch.core import apply_single_qubit, basis_state, is_unitary
 from spinsearch.grover import (
     ALL_LABELS,
     OracleLabel,
@@ -24,14 +19,17 @@ from spinsearch.grover import (
     monte_carlo_evaluations,
     optimal_iterations,
     oracle_matrix,
-    predicted_success_probability,
     pseudo_hadamard,
     pseudo_hadamard_inverse,
     read_bits,
-    ry,
     success_probability,
 )
-from state_checks import global_phase_factor
+from state_checks import (
+    equal_up_to_global_phase,
+    global_phase_factor,
+    predicted_success_probability,
+    ry,
+)
 
 SQRT2 = math.sqrt(2.0)
 

@@ -33,11 +33,11 @@ from spinsearch.spins import (
     ErrorModel,
     SpinSystem,
     gradient_crush,
-    hamiltonian,
     ideal_pulse,
     pseudo_pure_00,
     state_00,
 )
+from state_checks import hamiltonian
 
 SYS = SpinSystem()
 ACQ = AcquisitionParams()
@@ -51,7 +51,7 @@ def _reference_synthesize_fid(sys, rho, acq):
     """Per-detection FID synthesis: the four damped line waveforms evaluated
     afresh for every rho (what the shared line basis replaced)."""
     t = np.arange(acq.n_points) * acq.dwell
-    energies = np.diag(hamiltonian(sys)).real
+    energies = np.diag(hamiltonian(sys.nu1, sys.nu2, sys.j)).real
     observe = OBSERVE_1 + OBSERVE_2
     fid = np.zeros(acq.n_points, dtype=complex)
     rows, cols = np.nonzero(observe.T)
@@ -79,6 +79,13 @@ def _reference_detect(sys, rho, acq):
         for center, spin in line_centers(sys)
     )
     return Spectrum(freq, values, peaks)
+
+
+def _reference_write_summary_json(path, documents):
+    """The json.dump export that write_summary_json must match byte for byte."""
+    with open(path, "w") as fh:
+        json.dump(documents, fh, indent=2)
+        fh.write("\n")
 
 
 def _reference_write_spectrum_csv(path, spec):
@@ -148,10 +155,16 @@ class TestAcquisitionParams:
         assert ACQ.dwell == pytest.approx(1 / 512)
         assert ACQ.resolution == pytest.approx(0.125)
 
-    @pytest.mark.parametrize("n", [512, 1000, 4095])
+    @pytest.mark.parametrize("n", [512, 1000, 4095, 4096.0, 4096.5, "4096"])
     def test_n_points_validation(self, n):
         with pytest.raises(ValueError):
             AcquisitionParams(n_points=n)
+
+    @pytest.mark.parametrize("n", [4096, np.int64(4096), np.int32(1024), np.uint16(2048)])
+    def test_integer_n_points_accepted(self, n):
+        acq = AcquisitionParams(n_points=n)
+        assert acq.n_points == n
+        assert type(acq.n_points) is int
 
     def test_aliasing_guard(self):
         with pytest.raises(ValueError, match="alias"):
@@ -429,8 +442,16 @@ class TestExports:
             assert fast.read_bytes() == reference.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.csv", "reference.csv"]
 
-    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "a.csv"
+    @pytest.mark.parametrize(
+        "write, content",
+        [
+            (write_spectrum_csv, lambda: detect(SYS, state_00(), ACQ)),
+            (write_summary_json, lambda: [{"experiment": "ref", "qubits": [0, 0]}]),
+        ],
+        ids=["write_spectrum_csv", "write_summary_json"],
+    )
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, content):
+        path = tmp_path / "a.out"
         path.write_bytes(b"previous")
 
         def fail(src, dst):
@@ -438,9 +459,19 @@ class TestExports:
 
         monkeypatch.setattr(readout.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            write_spectrum_csv(str(path), detect(SYS, state_00(), ACQ))
+            write(str(path), content())
         assert path.read_bytes() == b"previous"
-        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["a.out"]
+
+    @pytest.mark.parametrize("include_fidelity", [False, True])
+    def test_summary_json_bytes_match_json_dump(self, tmp_path, include_fidelity):
+        experiments = run_experiments(SYS, ACQ, 0.8, ErrorModel("soft-pulse", 5e-5))
+        docs = experiments.summary_documents(include_fidelity=include_fidelity)
+        assert all(("fidelity" in doc) == include_fidelity for doc in docs[1:])
+        written, reference = tmp_path / "summary.json", tmp_path / "reference.json"
+        write_summary_json(str(written), docs)
+        _reference_write_summary_json(str(reference), docs)
+        assert written.read_bytes() == reference.read_bytes()
 
     def test_summary_document_shape(self):
         phase, ref = _phase_and_reference()

@@ -1,15 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinsearch.core import (
-    apply_unitary,
-    basis_state,
-    equal_up_to_global_phase,
-    fidelity,
-    is_unitary,
-)
+from spinsearch.core import apply_unitary, basis_state, fidelity, is_unitary
 from spinsearch.grover import ALL_LABELS, OracleLabel, grover2_circuit, oracle_matrix
 from spinsearch.sequence import (
     DELAY,
@@ -17,6 +13,7 @@ from spinsearch.sequence import (
     ORACLE_PHASE_TABLE,
     PHASE_DEG,
     PULSE,
+    PulseEvent,
     PulseSequence,
     ROW_FOR_LABEL,
     compile_oracle,
@@ -31,6 +28,7 @@ from spinsearch.sequence import (
     sequence_unitary,
 )
 from spinsearch.spins import ErrorModel, SpinSystem, gradient_crush, pseudo_pure_00, state_00
+from state_checks import equal_up_to_global_phase
 
 offsets = st.floats(-400, 400, allow_nan=False)
 
@@ -88,6 +86,26 @@ class TestWireFormat:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             delay(-1.0)
+
+    @pytest.mark.parametrize(
+        "line, fields",
+        [
+            ("PULSE both 90 0 SOFT 1e-3", {"target": "both", "angle_deg": 90.0, "soft_tp": 1e-3}),
+            ("DELAY nan", {"kind": DELAY, "duration": math.nan}),
+            ("DELAY inf", {"kind": DELAY, "duration": math.inf}),
+            ("PULSE 1 inf 0", {"target": 1, "angle_deg": math.inf}),
+            ("PULSE 2 -inf 0", {"target": 2, "angle_deg": -math.inf}),
+            ("PULSE 1 90 nan", {"target": 1, "angle_deg": 90.0, "phase_deg": math.nan}),
+            ("PULSE 1 90 0 SOFT nan", {"target": 1, "angle_deg": 90.0, "soft_tp": math.nan}),
+            ("PULSE 2 90 0 SOFT inf", {"target": 2, "angle_deg": 90.0, "soft_tp": math.inf}),
+        ],
+    )
+    def test_unrunnable_events_rejected(self, line, fields):
+        # rejected when built, not first when run
+        with pytest.raises(ValueError):
+            PulseEvent(**{"kind": PULSE, **fields})
+        with pytest.raises(ValueError):
+            parse_sequence(line)
 
 
 class TestOracleCompiler:
@@ -320,12 +338,12 @@ class TestPropagatorFold:
 
 class TestPulseOperator:
     def test_ideal_90y_spin1(self):
-        from spinsearch.core import IDENTITY_2, kron
+        from spinsearch.core import IDENTITY_2
         from spinsearch.grover import pseudo_hadamard
         from spinsearch.sequence import pulse_operator
 
         u = pulse_operator(SpinSystem(), pulse(1, 90.0, 90.0))
-        assert np.allclose(u, kron(pseudo_hadamard(), IDENTITY_2), atol=1e-15)
+        assert np.allclose(u, np.kron(pseudo_hadamard(), IDENTITY_2), atol=1e-15)
 
     def test_rejects_non_pulse_event(self):
         from spinsearch.sequence import pulse_operator

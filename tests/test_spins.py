@@ -12,26 +12,28 @@ from spinsearch.core import (
     IY,
     SIGMA_X,
     density_from_state,
-    equal_up_to_global_phase,
     is_unitary,
-    kron,
 )
 from spinsearch.grover import pseudo_hadamard
 from spinsearch.spins import (
-    IZ1,
-    IZ2,
     SpinSystem,
     ErrorModel,
+    energies,
     free_evolution,
     gradient_crush,
-    hamiltonian,
     ideal_pulse,
     pseudo_pure_00,
     soft_pulse,
     state_00,
     temporal_average_00,
 )
-from state_checks import check_density_matrix
+from state_checks import (
+    IZ1,
+    IZ2,
+    check_density_matrix,
+    equal_up_to_global_phase,
+    hamiltonian,
+)
 
 offsets = st.floats(-500, 500, allow_nan=False)
 gaps = st.floats(71.0, 600.0, allow_nan=False)  # > 10 J at J = 7 Hz
@@ -76,10 +78,25 @@ class TestFreeEvolution:
         # with shifts zeroed, 1/(2J) of evolution leaves exp(-i pi/4 (+-1))
         # phases: the controlled-phase structure of the coupling term
         sys = SpinSystem(j=7.0)
-        h = hamiltonian(sys, nu1=0.0, nu2=0.0)
+        h = hamiltonian(0.0, 0.0, sys.j)
         u = np.diag(np.exp(-2j * math.pi * (1 / (2 * sys.j)) * np.diag(h)))
         expected = np.diag(np.exp(-1j * (math.pi / 4) * np.array([1, -1, -1, 1])))
         assert np.allclose(u, expected, atol=1e-14)
+
+    @given(
+        offsets,
+        gaps,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(0.5, 30.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_energies_match_hamiltonian_reference(self, nu1, gap, side, j, t):
+        # the closed form is the reference Hamiltonian's diagonal bit for bit
+        sys = SpinSystem(nu1=nu1, nu2=nu1 - side * (10 * j + gap), j=j)
+        h = hamiltonian(sys.nu1, sys.nu2, sys.j)
+        assert energies(sys).tobytes() == np.diag(h).real.tobytes()
+        reference = np.diag(np.exp(-2j * math.pi * t * np.diag(h)))
+        assert free_evolution(sys, t).tobytes() == reference.tobytes()
 
     @given(offsets, gaps)
     def test_unitary_and_diagonal(self, nu1, gap):
@@ -108,11 +125,11 @@ class TestSpinEcho:
 class TestIdealPulse:
     def test_90y_on_spin1_is_pseudo_hadamard(self):
         u = ideal_pulse(1, 90.0, 90.0)
-        assert np.allclose(u, kron(pseudo_hadamard(), IDENTITY_2), atol=1e-15)
+        assert np.allclose(u, np.kron(pseudo_hadamard(), IDENTITY_2), atol=1e-15)
 
     def test_180x_both(self):
         u = ideal_pulse("both", 180.0, 0.0)
-        assert np.allclose(u, -kron(SIGMA_X, SIGMA_X), atol=1e-15)
+        assert np.allclose(u, -np.kron(SIGMA_X, SIGMA_X), atol=1e-15)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError):
@@ -173,10 +190,10 @@ def expm_ideal_pulse(target, flip_deg, phase_deg):
     """Reference: the rotation as a matrix exponential."""
     u2 = expm(-1j * math.radians(flip_deg) * rotation_axis(phase_deg))
     if target == 1:
-        return kron(u2, IDENTITY_2)
+        return np.kron(u2, IDENTITY_2)
     if target == 2:
-        return kron(IDENTITY_2, u2)
-    return kron(u2, u2)
+        return np.kron(IDENTITY_2, u2)
+    return np.kron(u2, u2)
 
 
 def expm_soft_pulse(sys, target, flip_deg, phase_deg, t_p):
@@ -184,9 +201,9 @@ def expm_soft_pulse(sys, target, flip_deg, phase_deg, t_p):
     into the shared frame."""
     carrier = sys.nu1 if target == 1 else sys.nu2
     axis = rotation_axis(phase_deg)
-    rf_axis = kron(axis, IDENTITY_2) if target == 1 else kron(IDENTITY_2, axis)
+    rf_axis = np.kron(axis, IDENTITY_2) if target == 1 else np.kron(IDENTITY_2, axis)
     omega1 = flip_deg / (360.0 * t_p)
-    h = hamiltonian(sys, nu1=sys.nu1 - carrier, nu2=sys.nu2 - carrier) + omega1 * rf_axis
+    h = hamiltonian(sys.nu1 - carrier, sys.nu2 - carrier, sys.j) + omega1 * rf_axis
     frame = np.diag(np.exp(-2j * math.pi * carrier * t_p * np.diag(IZ1 + IZ2)))
     return frame @ expm(-2j * math.pi * t_p * h)
 
@@ -218,7 +235,7 @@ class TestGradientCrush:
 
     def test_single_quantum_removed(self):
         plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-        rho = kron(density_from_state(plus), np.diag([1.0, 0.0]).astype(complex))
+        rho = np.kron(density_from_state(plus), np.diag([1.0, 0.0]).astype(complex))
         crushed = gradient_crush(rho)
         assert np.allclose(crushed, np.diag([0.5, 0, 0.5, 0]), atol=1e-15)
 
@@ -265,13 +282,16 @@ class TestTemporalAveraging:
         rho = temporal_average_00(p)
         assert np.allclose(np.diag(rho).real, [0.4, 0.2, 0.2, 0.2], atol=1e-15)
 
-    def test_traceless_part_proportional_to_target(self):
-        p = np.array([0.37, 0.27, 0.21, 0.15])
-        rho = temporal_average_00(p)
-        traceless = rho - np.eye(4) / 4
-        target = state_00() - np.eye(4) / 4
-        ratio = traceless[0, 0] / target[0, 0]
-        assert np.max(np.abs(traceless - ratio * target)) <= 1e-15
+    @given(
+        st.floats(0.25, 1.0, exclude_min=True),
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+    )
+    def test_traceless_part_proportional_to_target(self, p0, weights):
+        # the averaged state is the effective pure state with eps = (4 p0 - 1) / 3
+        rest = (1.0 - p0) * np.asarray(weights) / sum(weights)
+        rho = temporal_average_00([p0, *rest])
+        expected = pseudo_pure_00((4 * p0 - 1) / 3)
+        assert np.max(np.abs(rho - expected)) <= 1e-15
 
     def test_requires_normalised_populations(self):
         with pytest.raises(ValueError):
