@@ -27,7 +27,7 @@ from spinsearch.readout import (
     reference_phase,
     synthesize_fid,
 )
-from spinsearch.sequence import grover_program, run_sequence
+from spinsearch.sequence import PropagatorTable, grover_program, run_sequence
 from spinsearch.spins import ErrorModel, SpinSystem, pseudo_pure_00, state_00
 
 
@@ -54,10 +54,11 @@ def main() -> int:
     print(" ".join(f"{h:>14s}" for h in header))
     for t_p in np.geomspace(args.tp_min, args.tp_max, args.points):
         err = ErrorModel("soft-pulse", float(t_p))
+        table = PropagatorTable(sys_, err)
         fids, reads = [], []
         for label in ALL_LABELS:
             rho = run_sequence(
-                sys_, grover_program(label, sys_), pseudo_pure_00(args.epsilon), err
+                sys_, grover_program(label, sys_), pseudo_pure_00(args.epsilon), err, table
             )
             fids.append(fidelity(basis_state(2, label.index), rho))
             try:

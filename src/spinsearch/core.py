@@ -13,14 +13,12 @@ import numpy as np
 # Tolerance of the unitarity checks throughout the package.
 UNITARY_TOL = 1e-10
 
-# Pauli matrices and the single-spin angular momentum operators (hbar = 1).
+# The transverse Pauli matrices and spin operators (hbar = 1).
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 IX = SIGMA_X / 2
 IY = SIGMA_Y / 2
-IZ = SIGMA_Z / 2
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:

@@ -21,7 +21,7 @@ from .readout import (
     summary_document,
     synthesize_fid,
 )
-from .sequence import grover_program, run_sequence
+from .sequence import PropagatorTable, grover_program, run_sequence
 from .spins import ErrorModel, IDEAL, SpinSystem, pseudo_pure_00, state_00
 
 
@@ -75,7 +75,8 @@ def run_experiments(
 
     The reference is a plain detection of |00><00|; its phase correction and
     line integrals calibrate all four experiment spectra.  All five
-    detections share one line basis.
+    detections share one line basis, and the four pulse programs share one
+    propagator table, so each distinct pulse or delay is built once per set.
     """
     lines = synthesize_fid(sys, acq)
     ref_spec = detect(sys, state_00(), acq, lines)
@@ -83,10 +84,11 @@ def run_experiments(
     ref_result = classify(ref_spec, phase)
     ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
 
+    table = PropagatorTable(sys, err)
     runs = []
     for label in ALL_LABELS:
         rho0 = pseudo_pure_00(epsilon)
-        rho = run_sequence(sys, grover_program(label, sys), rho0, err)
+        rho = run_sequence(sys, grover_program(label, sys), rho0, err, table)
         spec = detect(sys, rho, acq, lines)
         result = classify(spec, phase, ref_integrals)
         target = basis_state(2, label.index)

@@ -46,9 +46,11 @@ class PulseEvent:
 
     Pulses carry a target (1, 2 or 'both'), flip angle and phase in degrees,
     and an optional soft duration; ``soft_tp`` forces the finite-duration
-    propagator for this event regardless of the run's error model.  Events
-    that cannot run (a non-finite number, SOFT on a pulse to both spins) are
-    rejected here rather than when run.
+    propagator for this event regardless of the run's error model.  Delays
+    carry only a duration, gradients nothing.  Events that cannot run (a
+    non-finite number, SOFT on a pulse to both spins) or that set a field
+    their kind ignores are rejected here rather than when run, so every
+    accepted event survives the wire format unchanged.
     """
 
     kind: str
@@ -61,8 +63,17 @@ class PulseEvent:
     def __post_init__(self) -> None:
         if self.kind not in (PULSE, DELAY, GRADIENT):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == PULSE and self.target not in (1, 2, TARGET_BOTH):
-            raise ValueError(f"unknown pulse target {self.target!r}")
+        if self.kind == PULSE:
+            # the target must also print as the word the parser reads back,
+            # which rules out True and 1.0
+            word = str(self.target)
+            if self.target not in (1, 2, TARGET_BOTH) or word not in ("1", "2", TARGET_BOTH):
+                raise ValueError(f"unknown pulse target {self.target!r}")
+        elif (self.target is not None or self.angle_deg or self.phase_deg
+              or self.soft_tp is not None):
+            raise ValueError(f"{self.kind} events take no target, angle, phase or SOFT duration")
+        if self.kind != DELAY and self.duration:
+            raise ValueError(f"{self.kind} events take no duration")
         if not (
             math.isfinite(self.angle_deg)
             and math.isfinite(self.phase_deg)
@@ -111,12 +122,12 @@ def format_sequence(seq: PulseSequence | list[PulseEvent]) -> str:
     lines = [f"# {note}" for note in getattr(seq, "notes", ())]
     for ev in events:
         if ev.kind == PULSE:
-            line = f"PULSE {ev.target} {ev.angle_deg!r} {ev.phase_deg!r}"
+            line = f"PULSE {ev.target} {float(ev.angle_deg)!r} {float(ev.phase_deg)!r}"
             if ev.soft_tp is not None:
-                line += f" SOFT {ev.soft_tp!r}"
+                line += f" SOFT {float(ev.soft_tp)!r}"
             lines.append(line)
         elif ev.kind == DELAY:
-            lines.append(f"DELAY {ev.duration!r}")
+            lines.append(f"DELAY {float(ev.duration)!r}")
         else:
             lines.append("GRAD")
     return "\n".join(lines) + "\n"
@@ -273,15 +284,40 @@ def event_operator(sys: SpinSystem, ev: PulseEvent, err: ErrorModel = IDEAL) -> 
     return pulse_operator(sys, ev, err)
 
 
-def _run_products(sys: SpinSystem, seq, err: ErrorModel):
+@dataclass(frozen=True, eq=False)
+class PropagatorTable:
+    """The propagators of the distinct events of one experiment set.
+
+    The four programs of a set share most of their pulses and all of their
+    delays, so ``run_experiments`` builds one table for the set and passes
+    it to each ``run_sequence`` call.  A table holds the system and error
+    model it was built for; each distinct event's propagator is built once,
+    on first use, checked unitary at 1e-10 and stored read-only.
+    """
+
+    system: SpinSystem
+    error: ErrorModel = IDEAL
+    built: dict[PulseEvent, np.ndarray] = field(default_factory=dict)
+
+    def propagator(self, ev: PulseEvent) -> np.ndarray:
+        u = self.built.get(ev)
+        if u is None:
+            u = event_operator(self.system, ev, self.error)
+            if not is_unitary(u):
+                raise ValueError(f"propagator of {ev} is not unitary at tolerance 1e-10")
+            u.setflags(write=False)
+            self.built[ev] = u
+        return u
+
+
+def _run_products(table: PropagatorTable, seq):
     """Split the sequence at its gradient events: yield the propagator product
     of each gradient-free run of events (earliest applied first), and None for
     each gradient.
 
-    Each distinct event's propagator is built once per call and checked
-    unitary at 1e-10 when it is built.
+    The propagators come from ``table``, which builds each distinct event's
+    propagator once however many sequences it serves.
     """
-    built: dict[PulseEvent, np.ndarray] = {}
     product = None
     for ev in getattr(seq, "events", seq):
         if ev.kind == GRADIENT:
@@ -290,37 +326,46 @@ def _run_products(sys: SpinSystem, seq, err: ErrorModel):
                 product = None
             yield None
             continue
-        u = built.get(ev)
-        if u is None:
-            u = event_operator(sys, ev, err)
-            if not is_unitary(u):
-                raise ValueError(f"propagator of {ev} is not unitary at tolerance 1e-10")
-            built[ev] = u
+        u = table.propagator(ev)
         product = u if product is None else u @ product
     if product is not None:
         yield product
 
 
 def sequence_unitary(sys: SpinSystem, seq, err: ErrorModel = IDEAL) -> np.ndarray:
-    """Product of the event propagators (earliest applied first).
+    """Product of the event propagators (earliest applied first), as a new
+    array.
 
     Raises on gradient events, which have no unitary representation.
     """
     u = np.eye(4, dtype=complex)
-    for product in _run_products(sys, seq, err):
+    for product in _run_products(PropagatorTable(sys, err), seq):
         if product is None:
             raise ValueError("gradient events have no unitary; use run_sequence")
-        u = product  # without gradients there is exactly one run
+        u = np.array(product)  # without gradients there is exactly one run
     return u
 
 
 def run_sequence(
-    sys: SpinSystem, seq, rho0: np.ndarray, err: ErrorModel = IDEAL
+    sys: SpinSystem,
+    seq,
+    rho0: np.ndarray,
+    err: ErrorModel = IDEAL,
+    table: PropagatorTable | None = None,
 ) -> np.ndarray:
     """Left-fold the sequence over a density matrix: each gradient-free run
     of events conjugates it by its propagator product, gradient events crush
-    nonzero coherence orders."""
+    nonzero coherence orders.
+
+    The propagators come from ``table``, shared by every sequence of an
+    experiment set; without one, a table is built for this one run.  Raises
+    ValueError if ``table`` was built for another system or error model.
+    """
+    if table is None:
+        table = PropagatorTable(sys, err)
+    elif table.system != sys or table.error != err:
+        raise ValueError("propagator table was built for a different system or error model")
     rho = np.asarray(rho0, dtype=complex)
-    for product in _run_products(sys, seq, err):
+    for product in _run_products(table, seq):
         rho = gradient_crush(rho) if product is None else apply_unitary(product, rho)
     return rho

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 
-from spinsearch.core import IDENTITY_2, IZ
+from spinsearch.core import IDENTITY_2
 
 NORM_TOL = 1e-12
+
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+IZ = SIGMA_Z / 2
 
 IZ1 = np.kron(IZ, IDENTITY_2)
 IZ2 = np.kron(IDENTITY_2, IZ)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spinsearch.core import (
     IDENTITY_2,
     SIGMA_X,
-    SIGMA_Z,
     apply_single_qubit,
     apply_unitary,
     basis_state,
@@ -16,6 +15,7 @@ from spinsearch.core import (
 )
 from spinsearch.grover import pseudo_hadamard
 from state_checks import (
+    SIGMA_Z,
     check_density_matrix,
     check_state_vector,
     coherence_order,

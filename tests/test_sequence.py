@@ -1,18 +1,24 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import spinsearch.experiment as experiment
+import spinsearch.sequence as sequence
 from spinsearch.core import apply_unitary, basis_state, fidelity, is_unitary
+from spinsearch.experiment import run_experiments
 from spinsearch.grover import ALL_LABELS, OracleLabel, grover2_circuit, oracle_matrix
+from spinsearch.readout import AcquisitionParams, AmbiguousReadoutError
 from spinsearch.sequence import (
     DELAY,
     GRADIENT,
     ORACLE_PHASE_TABLE,
     PHASE_DEG,
     PULSE,
+    PropagatorTable,
     PulseEvent,
     PulseSequence,
     ROW_FOR_LABEL,
@@ -27,7 +33,14 @@ from spinsearch.sequence import (
     run_sequence,
     sequence_unitary,
 )
-from spinsearch.spins import ErrorModel, SpinSystem, gradient_crush, pseudo_pure_00, state_00
+from spinsearch.spins import (
+    IDEAL,
+    ErrorModel,
+    SpinSystem,
+    gradient_crush,
+    pseudo_pure_00,
+    state_00,
+)
 from state_checks import equal_up_to_global_phase
 
 offsets = st.floats(-400, 400, allow_nan=False)
@@ -42,6 +55,37 @@ def random_systems(count, seed=0):
         nu2 = nu1 - float(rng.uniform(10 * j + 30, 10 * j + 500))
         systems.append(SpinSystem(nu1=nu1, nu2=nu2, j=j))
     return systems
+
+
+field_numbers = st.one_of(
+    st.floats(), st.integers(-720, 720), st.floats(allow_nan=False).map(np.float64)
+)
+field_values = {
+    "target": st.sampled_from([1, 2, "both", np.int64(2), 3, "1", True, 1.0]),
+    "angle_deg": field_numbers,
+    "phase_deg": field_numbers,
+    "duration": field_numbers,
+    "soft_tp": field_numbers,
+}
+# The fields each kind reads; the others are set less often, so that most
+# candidates are accepted.
+fields_read = {PULSE: {"target", "angle_deg", "phase_deg", "soft_tp"}, DELAY: {"duration"}}
+
+
+@st.composite
+def candidate_events(draw):
+    """A PulseEvent from any mix of set and default fields, or None when the
+    constructor rejects the mix."""
+    kind = draw(st.sampled_from([PULSE, DELAY, GRADIENT]))
+    fields = {"kind": kind}
+    for name, values in field_values.items():
+        read = name in fields_read.get(kind, ())
+        if draw(st.booleans() if read else st.sampled_from([False, False, False, True])):
+            fields[name] = draw(values)
+    try:
+        return PulseEvent(**fields)
+    except ValueError:
+        return None
 
 
 class TestWireFormat:
@@ -106,6 +150,37 @@ class TestWireFormat:
             PulseEvent(**{"kind": PULSE, **fields})
         with pytest.raises(ValueError):
             parse_sequence(line)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": DELAY, "duration": 1.0, "soft_tp": 1e-3},
+            {"kind": DELAY, "duration": 1.0, "target": 1},
+            {"kind": DELAY, "duration": 1.0, "angle_deg": 90.0},
+            {"kind": DELAY, "duration": 1.0, "phase_deg": 90.0},
+            {"kind": GRADIENT, "target": "both"},
+            {"kind": GRADIENT, "angle_deg": 90.0},
+            {"kind": GRADIENT, "phase_deg": 270.0},
+            {"kind": GRADIENT, "duration": 1e-3},
+            {"kind": GRADIENT, "soft_tp": 1e-3},
+            {"kind": PULSE, "target": 1, "angle_deg": 90.0, "duration": 1e-3},
+            {"kind": PULSE, "target": True, "angle_deg": 90.0},
+            {"kind": PULSE, "target": 2.0, "angle_deg": 90.0},
+        ],
+    )
+    def test_fields_the_kind_ignores_rejected(self, fields):
+        # the wire format drops them, so they would not survive a round trip
+        with pytest.raises(ValueError):
+            PulseEvent(**fields)
+
+    @given(st.lists(candidate_events(), max_size=20))
+    @example([
+        PulseEvent(PULSE, np.int64(1), np.float64(90.0), np.float64(45), soft_tp=np.float64(1e-3)),
+        PulseEvent(DELAY, duration=np.float64(0.25)),
+    ])
+    def test_every_accepted_event_round_trips(self, candidates):
+        events = tuple(ev for ev in candidates if ev is not None)
+        assert parse_sequence(format_sequence(events)).events == events
 
 
 class TestOracleCompiler:
@@ -312,8 +387,6 @@ class TestPropagatorFold:
         assert np.max(np.abs(got_u - want_u)) <= 1e-12
 
     def test_each_distinct_propagator_built_once(self, monkeypatch):
-        import spinsearch.sequence as sequence
-
         built = []
         original = sequence.event_operator
 
@@ -327,13 +400,81 @@ class TestPropagatorFold:
         assert len(built) == len(set(built)) == len(set(program.events)) < len(program)
 
     def test_non_unitary_propagator_rejected(self, monkeypatch):
-        import spinsearch.sequence as sequence
-
         monkeypatch.setattr(sequence, "event_operator", lambda sys, ev, err: 2 * np.eye(4))
         with pytest.raises(ValueError, match="not unitary"):
             run_sequence(FOLD_SYSTEM, [P1], pseudo_pure_00(1.0))
         with pytest.raises(ValueError, match="not unitary"):
             sequence_unitary(FOLD_SYSTEM, [P1])
+
+
+SOFT = ErrorModel("soft-pulse", 1e-4)
+set_errors = st.one_of(
+    st.just(IDEAL), st.floats(1e-6, 1e-3).map(lambda t_p: ErrorModel("soft-pulse", t_p))
+)
+
+
+class TestPropagatorTable:
+    @given(
+        st.floats(40, 200),
+        st.floats(-200, -40),
+        st.floats(2, 7.5),
+        set_errors,
+        st.floats(0, 1, exclude_min=True),
+    )
+    def test_set_matches_per_program_runs(self, nu1, nu2, j, err, eps):
+        sys = SpinSystem(nu1=nu1, nu2=nu2, j=j)
+        runs = []
+
+        def recording(*args, **kwargs):
+            rho = run_sequence(*args, **kwargs)
+            runs.append(rho)
+            return rho
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "run_sequence", recording)
+            # an unreadable spectrum ends the set early; the runs before it
+            # still count, but a rejected reference leaves none to compare
+            with contextlib.suppress(AmbiguousReadoutError):
+                run_experiments(sys, AcquisitionParams(), eps, err)
+        assume(runs)
+        for label, rho in zip(ALL_LABELS, runs):
+            want = run_sequence(sys, grover_program(label, sys), pseudo_pure_00(eps), err)
+            assert np.array_equal(rho, want)
+
+    def test_set_builds_each_distinct_event_once(self, monkeypatch):
+        built = []
+        original = sequence.event_operator
+
+        def counting(sys, ev, err):
+            built.append(ev)
+            return original(sys, ev, err)
+
+        monkeypatch.setattr(sequence, "event_operator", counting)
+        run_experiments(FOLD_SYSTEM, AcquisitionParams(), 1.0, SOFT)
+        programs = [grover_program(label, FOLD_SYSTEM).events for label in ALL_LABELS]
+        distinct = {ev for events in programs for ev in events}
+        assert len(built) == len(set(built)) == len(distinct) < len(programs[0])
+
+    def test_foreign_table_rejected(self):
+        table = PropagatorTable(FOLD_SYSTEM, SOFT)
+        rho0 = pseudo_pure_00(1.0)
+        with pytest.raises(ValueError, match="different system or error model"):
+            run_sequence(SpinSystem(), [P1], rho0, SOFT, table)
+        with pytest.raises(ValueError, match="different system or error model"):
+            run_sequence(FOLD_SYSTEM, [P1], rho0, IDEAL, table)
+        # equal values, not the same objects, are what count
+        twin = SpinSystem(FOLD_SYSTEM.nu1, FOLD_SYSTEM.nu2, FOLD_SYSTEM.j)
+        run_sequence(twin, [P1], rho0, ErrorModel("soft-pulse", 1e-4), table)
+
+    def test_stored_propagators_read_only(self):
+        table = PropagatorTable(FOLD_SYSTEM, SOFT)
+        run_sequence(FOLD_SYSTEM, [P1, P2, TAU, GRAD, PB, P1], random_density(5), SOFT, table)
+        assert set(table.built) == {P1, P2, TAU, PB}
+        for u in table.built.values():
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 0.0
+        # a unitary handed out is the caller's own, even for one event
+        assert sequence_unitary(FOLD_SYSTEM, [P1], SOFT).flags.writeable
 
 
 class TestPulseOperator:

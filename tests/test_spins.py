@@ -288,7 +288,7 @@ class TestTemporalAveraging:
     )
     def test_traceless_part_proportional_to_target(self, p0, weights):
         # the averaged state is the effective pure state with eps = (4 p0 - 1) / 3
-        rest = (1.0 - p0) * np.asarray(weights) / sum(weights)
+        rest = (1.0 - p0) * (np.asarray(weights) / sum(weights))
         rho = temporal_average_00([p0, *rest])
         expected = pseudo_pure_00((4 * p0 - 1) / 3)
         assert np.max(np.abs(rho - expected)) <= 1e-15
