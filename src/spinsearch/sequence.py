@@ -38,6 +38,9 @@ GRADIENT = "grad"
 # Pulse phase convention: +x=0, +y=90, -x=180, -y=270 degrees.
 PHASE_DEG = {"+x": 0.0, "+y": 90.0, "-x": 180.0, "-y": 270.0}
 
+# Pulse targets by the word the wire format writes for them.
+_TARGET_WORDS = {"1": 1, "2": 2, TARGET_BOTH: TARGET_BOTH}
+
 
 @dataclass(frozen=True)
 class PulseEvent:
@@ -61,26 +64,30 @@ class PulseEvent:
     soft_tp: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (PULSE, DELAY, GRADIENT):
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == PULSE:
+        kind = self.kind
+        if kind == PULSE:
             # the target must also print as the word the parser reads back,
             # which rules out True and 1.0
             word = str(self.target)
-            if self.target not in (1, 2, TARGET_BOTH) or word not in ("1", "2", TARGET_BOTH):
+            if word not in _TARGET_WORDS or _TARGET_WORDS[word] != self.target:
                 raise ValueError(f"unknown pulse target {self.target!r}")
-        elif (self.target is not None or self.angle_deg or self.phase_deg
-              or self.soft_tp is not None):
-            raise ValueError(f"{self.kind} events take no target, angle, phase or SOFT duration")
-        if self.kind != DELAY and self.duration:
-            raise ValueError(f"{self.kind} events take no duration")
+            if self.duration:
+                raise ValueError(f"{kind} events take no duration")
+        elif kind == DELAY or kind == GRADIENT:
+            if (self.target is not None or self.angle_deg or self.phase_deg
+                    or self.soft_tp is not None):
+                raise ValueError(f"{kind} events take no target, angle, phase or SOFT duration")
+            if kind == GRADIENT and self.duration:
+                raise ValueError(f"{kind} events take no duration")
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
         if not (
             math.isfinite(self.angle_deg)
             and math.isfinite(self.phase_deg)
             and math.isfinite(self.duration)
         ):
             raise ValueError("angle_deg, phase_deg and duration must be finite")
-        if self.kind == DELAY and self.duration < 0:
+        if kind == DELAY and self.duration < 0:
             raise ValueError("delay duration must be >= 0")
         if self.soft_tp is not None:
             if not (math.isfinite(self.soft_tp) and self.soft_tp > 0):
@@ -297,7 +304,7 @@ class PropagatorTable:
 
     system: SpinSystem
     error: ErrorModel = IDEAL
-    built: dict[PulseEvent, np.ndarray] = field(default_factory=dict)
+    built: dict[PulseEvent, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def propagator(self, ev: PulseEvent) -> np.ndarray:
         u = self.built.get(ev)

@@ -476,6 +476,11 @@ class TestPropagatorTable:
         # a unitary handed out is the caller's own, even for one event
         assert sequence_unitary(FOLD_SYSTEM, [P1], SOFT).flags.writeable
 
+    def test_propagators_cannot_be_passed_in(self):
+        # the only way into a table is propagator(), which checks unitarity
+        with pytest.raises(TypeError):
+            PropagatorTable(FOLD_SYSTEM, SOFT, {P1: 2 * np.eye(4)})
+
 
 class TestPulseOperator:
     def test_ideal_90y_spin1(self):
