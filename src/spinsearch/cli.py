@@ -146,7 +146,7 @@ def cmd_pulse(args: argparse.Namespace) -> int:
 
 
 def _search_row(n_qubits: int, k: int, m: int | None, seed: int | None, trials: int) -> str:
-    problem = SearchProblem(n_qubits, frozenset(range(k)))
+    problem = SearchProblem(n_qubits, np.arange(k))
     m_opt = optimal_iterations(problem)
     m_used = m_opt if m is None else m
     p = success_probability(problem, grover_general(problem, m_used))

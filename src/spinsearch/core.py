@@ -8,6 +8,8 @@ is pure: no function mutates its input.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Tolerance of the unitarity checks throughout the package.
@@ -19,6 +21,15 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 IX = SIGMA_X / 2
 IY = SIGMA_Y / 2
+
+
+def as_integer(name: str, value: object) -> int:
+    """``value`` as an int through ``operator.index``: integer types such as
+    np.int64 pass, while 2.0, "2" or None raise ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:

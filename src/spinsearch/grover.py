@@ -7,18 +7,17 @@ inversion about the mean, one dot product and one axpy per iterate, O(N).
 
 Conventions (fixed package-wide): Ry(beta) = exp(-i*beta*sigma_y/2), so the
 pseudo-Hadamard h = Ry(90 deg) = (1/sqrt(2)) [[1, -1], [1, 1]] and h maps
-|0> to (|0>+|1>)/sqrt(2).  Basis ordering puts the first qubit in the most
-significant bit.
+|0> to (|0>+|1>)/sqrt(2); the first qubit is the most significant bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import apply_unitary, basis_state
+from .core import apply_unitary, as_integer, basis_state
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -60,28 +59,35 @@ class OracleLabel:
 ALL_LABELS = tuple(OracleLabel.from_name(n) for n in ORACLE_LABELS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchProblem:
-    """Search over N = 2**n_qubits items with a set of marked indices."""
+    """Search over N = 2**n_qubits items.  ``marked`` takes any iterable of
+    distinct integers in [0, N) and is held as a sorted, read-only intp
+    array, so equality and hashing come from (n_qubits, marked bytes)."""
 
     n_qubits: int
-    marked: frozenset[int] = field(default_factory=frozenset)
-    # ``marked`` as an index array, in the set's iteration order; derived, so
-    # equality and hashing come from ``marked`` alone.
-    marked_indices: np.ndarray = field(init=False, compare=False, repr=False)
+    marked: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= 20:
+        n_qubits = as_integer("n_qubits", self.n_qubits)
+        if not 1 <= n_qubits <= 20:
             raise ValueError("n_qubits must be between 1 and 20 (desk scale)")
-        object.__setattr__(self, "marked", frozenset(self.marked))
-        if not self.marked:
-            raise ValueError("at least one marked element is required (k >= 1)")
-        indices = np.array(list(self.marked))
-        if indices.dtype.kind not in "iu":
-            raise ValueError("marked indices must be integers")
-        if indices.min() < 0 or indices.max() >= self.size:
-            raise ValueError("marked indices out of range")
-        object.__setattr__(self, "marked_indices", indices.astype(np.intp, copy=False))
+        marked = np.asarray(self.marked if isinstance(self.marked, np.ndarray) else list(self.marked))
+        if marked.ndim != 1 or marked.size == 0 or marked.dtype.kind not in "iu":
+            raise ValueError("marked indices must be one or more integers (k >= 1)")
+        marked = np.sort(marked.astype(np.intp, copy=False))  # uint64 >= 2**63 turns negative
+        if marked[0] < 0 or marked[-1] >= 2**n_qubits or np.any(marked[1:] == marked[:-1]):
+            raise ValueError(f"marked indices must be distinct and in [0, {2**n_qubits})")
+        marked.flags.writeable = False
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "marked", marked)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SearchProblem) and self.n_qubits == other.n_qubits
+                and np.array_equal(self.marked, other.marked))
+
+    def __hash__(self) -> int:
+        return hash((self.n_qubits, self.marked.tobytes()))
 
     @property
     def size(self) -> int:
@@ -89,7 +95,7 @@ class SearchProblem:
 
     @property
     def k(self) -> int:
-        return len(self.marked)
+        return self.marked.size
 
 
 def pseudo_hadamard() -> np.ndarray:
@@ -136,10 +142,8 @@ def read_bits(psi: np.ndarray) -> tuple[int, int]:
 
 
 def _start_amplitudes(n_qubits: int) -> np.ndarray:
-    """(h^-1)^(x n) |0...0> as a real vector: entry x is (-1)^popcount(x)/sqrt(N).
-
-    Doubling: entries [w, 2w) are entries [0, w) with one more bit set.
-    """
+    """(h^-1)^(x n) |0...0> as a real vector: entry x is (-1)^popcount(x)/sqrt(N),
+    built by doubling (entries [w, 2w) are entries [0, w) with one more bit set)."""
     size = 2**n_qubits
     s = np.empty(size)
     s[0] = 1.0 / math.sqrt(size)
@@ -151,8 +155,7 @@ def _start_amplitudes(n_qubits: int) -> np.ndarray:
 
 
 def grover_start(problem: SearchProblem) -> np.ndarray:
-    """The start state s of the search iteration, (h^-1)^(x n) |0...0>:
-    uniform magnitudes 1/sqrt(N) with sign (-1)^popcount(x)."""
+    """The complex start state s = (h^-1)^(x n) |0...0> of the search iteration."""
     return _start_amplitudes(problem.n_qubits).astype(complex)
 
 
@@ -161,7 +164,7 @@ def grover_iterate(problem: SearchProblem, psi: np.ndarray) -> np.ndarray:
     start state, psi <- psi - 2<s|psi> s (O(N))."""
     s = _start_amplitudes(problem.n_qubits)
     psi = np.array(psi, dtype=complex)
-    psi[problem.marked_indices] *= -1
+    psi[problem.marked] *= -1
     psi -= (2 * (s @ psi)) * s
     return psi
 
@@ -179,7 +182,7 @@ def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
 
 def success_probability(problem: SearchProblem, psi: np.ndarray) -> float:
     """Total probability of measuring a marked index."""
-    return float(np.sum(np.abs(psi[problem.marked_indices]) ** 2))
+    return float(np.sum(np.abs(psi[problem.marked]) ** 2))
 
 
 def optimal_iterations(problem: SearchProblem) -> int:
@@ -225,14 +228,11 @@ def monte_carlo_evaluations(
         raise ValueError("need trials >= 1")
     counts = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
-    for draw in range(1, n - k + 2):
-        p_marked = k / (n - draw + 1)
-        hits = rng.random(active.shape[0]) < p_marked
+    for draw in range(1, n - k + 2):  # the last draw, from the k marked alone, always hits
+        hits = rng.random(active.size) < k / (n - draw + 1)
         counts[active[hits]] = draw
         active = active[~hits]
         if active.size == 0:
             break
-    counts[active] = n - k + 1  # exhausted the unmarked pool
-    mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr
+    return float(np.mean(counts)), stderr

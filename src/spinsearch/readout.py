@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IDENTITY_2, IX, IY
+from .core import IDENTITY_2, IX, IY, as_integer
 from .spins import SpinSystem, energies, gradient_crush, ideal_pulse
 
 RAISING = IX + 1j * IY  # |0><1| on one spin
@@ -60,10 +59,7 @@ class AcquisitionParams:
                 raise ValueError(f"{name} must be finite")
         if self.spectral_width <= 0:
             raise ValueError("spectral width must be positive")
-        try:
-            n_points = operator.index(self.n_points)
-        except TypeError:
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
+        n_points = as_integer("n_points", self.n_points)
         if n_points < 1024 or n_points & (n_points - 1):
             raise ValueError("n_points must be a power of two >= 1024")
         object.__setattr__(self, "n_points", n_points)
@@ -80,12 +76,11 @@ class AcquisitionParams:
 @dataclass(frozen=True)
 class Peak:
     """One expected line: predicted centre, integral over the window
-    (complex before phasing, real after), owner spin and assigned value."""
+    (complex before phasing, real after) and owner spin."""
 
     center_hz: float
     integral: complex
     assigned_spin: int
-    assigned_qubit_value: int | None = None
 
 
 @dataclass(frozen=True)
@@ -275,7 +270,7 @@ def classify(
             raise AmbiguousReadoutError(f"spin-{spin} doublet lines disagree in sign")
         values[spin] = 0 if signs.pop() else 1
     peaks = tuple(
-        Peak(p.center_hz, float(v), p.assigned_spin, values[p.assigned_spin])
+        Peak(p.center_hz, float(v), p.assigned_spin)
         for p, v in zip(spec.peaks, integrals)
     )
     return ReadoutResult(values[1], values[2], tuple(float(h) for h in heights), peaks)

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from spinsearch.cli import EXIT_CLASSIFICATION, EXIT_OK, EXIT_USAGE, main, parse_config_file
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +64,13 @@ class TestSearchCommand:
         assert code == code_b == EXIT_OK
         assert "monte_carlo=" in out_a
         assert out_a == out_b
+
+    def test_scan_output_is_byte_identical(self, capsys):
+        # the full table, Monte-Carlo column included, pinned byte for byte
+        code, out, _ = run_cli(capsys, "search", "--scan", "--n", "10",
+                               "--seed", "1", "--trials", "2000")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "search_scan_n10_seed1_trials2000.txt").read_text()
 
     def test_zero_trials_rejected(self, capsys):
         code, out, err = run_cli(capsys, "search", "--n", "4", "--k", "1",

@@ -264,7 +264,10 @@ class TestGeneralSearch:
         with pytest.raises(ValueError, match="integers"):
             SearchProblem(2, frozenset(marked))
 
-    @pytest.mark.parametrize("marked", [{-1}, {0, -3}, {4}, {1, 4}, {2**70}])
+    @pytest.mark.parametrize(
+        "marked",
+        [{-1}, {0, -3}, {4}, {1, 4}, {2**70}, np.array([1, 2**63, 2**64 - 1], dtype=np.uint64)],
+    )
     def test_rejects_out_of_range_index(self, marked):
         with pytest.raises(ValueError):
             SearchProblem(2, frozenset(marked))
@@ -277,9 +280,63 @@ class TestGeneralSearch:
         assert hash(a) == hash(b) == hash(c)
         assert {a: "first", b: "second"} == {c: "second"}
         assert a != SearchProblem(3, frozenset({1, 6}))
-        assert sorted(a.marked_indices.tolist()) == [1, 2, 6]
-        assert a.marked_indices.dtype == np.intp
+        assert sorted(a.marked.tolist()) == [1, 2, 6]
+        assert a.marked.dtype == np.intp
         assert "marked_indices" not in repr(a)
+
+    @pytest.mark.parametrize("n_qubits", [2.0, 2.5, "2"])
+    def test_rejects_non_integer_qubit_count(self, n_qubits):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            SearchProblem(n_qubits, {1})
+
+    def test_accepts_numpy_integer_qubit_count(self):
+        problem = SearchProblem(np.int64(2), {1})
+        assert type(problem.n_qubits) is int
+        assert problem == SearchProblem(2, {1})
+        assert hash(problem) == hash(SearchProblem(2, {1}))
+        assert success_probability(problem, grover_general(problem, 1)) == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+    def test_rejects_repeated_index(self):
+        with pytest.raises(ValueError, match="distinct"):
+            SearchProblem(3, [1, 1, 2])
+
+    def test_marked_does_not_alias_the_input(self):
+        indices = np.array([5, 1], dtype=np.intp)
+        problem = SearchProblem(3, indices)
+        indices[:] = 0
+        assert problem.marked.tolist() == [1, 5]
+
+
+class TestMarkedArray:
+    @given(st.integers(1, 12), st.data())
+    def test_every_input_form_gives_the_same_problem(self, n_qubits, data):
+        size = 2**n_qubits
+        k = data.draw(st.integers(1, size), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        marked = rng.choice(size, size=k, replace=False).tolist()
+        forms = [
+            set(marked),
+            tuple(marked),
+            list(marked),
+            rng.permutation(marked).astype(np.int32),
+            rng.permutation(marked).astype(np.int64),
+        ]
+        problems = [SearchProblem(n_qubits, form) for form in forms]
+        assert all(p == problems[0] for p in problems)
+        assert len({hash(p) for p in problems}) == 1
+        for p in problems:
+            assert p.marked.dtype == np.intp
+            assert p.marked.tolist() == sorted(marked)
+            assert p.k == len(marked)
+            assert not p.marked.flags.writeable
+            with pytest.raises(ValueError):
+                p.marked[0] = 0
+        repeated = marked + [marked[data.draw(st.integers(0, k - 1), label="repeat")]]
+        for form in (tuple, list, lambda m: np.array(m, np.int32), np.array):
+            with pytest.raises(ValueError, match="distinct"):
+                SearchProblem(n_qubits, form(repeated))
 
 
 class TestOptimalIterations:
