@@ -7,10 +7,10 @@ doublet at nu_i +/- J/2; after phasing against a reference, a positive
 absorption pair reads as qubit value 0 and a negative pair as 1.
 
 The signal is linear in rho and has four known lines, so the waveforms of
-those lines, the decay envelope, the frequency grid and the line windows
-(together the line basis, built by ``synthesize_fid``) depend only on the
-spin system and the acquisition.  An experiment set builds the basis once;
-each detection is then a 4-term combination, one decay multiply and one FFT.
+those lines, the decay envelope and the frequency grid (the line basis, built
+by ``synthesize_fid``) depend only on the spin system and the acquisition.
+An experiment set builds the basis once; each detection is a 4-term sum, one
+decay multiply and one FFT, and reads each line's exact integral off its term.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class AcquisitionParams:
 
 @dataclass(frozen=True)
 class Peak:
-    """One expected line: predicted centre, integral over the window
-    (complex before phasing, real after) and owner spin."""
+    """One expected line: predicted centre, exact integral over the
+    spectrum (complex before phasing, real after) and owner spin."""
 
     center_hz: float
     integral: complex
@@ -124,9 +124,8 @@ class LineBasis:
     ``couplings`` lists the (i, j, O_ji) coherences the observable picks up,
     in detection order; ``waves`` holds their undamped waveforms
     exp(-i 2 pi (E_i - E_j) t), and ``decay`` the envelope exp(-t/T2).
-    ``windows`` are the +/- 3 linewidth index ranges around the four
-    predicted line centres, in ``line_centers`` order.  Every array is
-    read-only.
+    ``line_couplings`` gives, for each line in ``line_centers`` order, the
+    index of its coherence in ``couplings``.  Every array is read-only.
     """
 
     system: SpinSystem
@@ -135,7 +134,7 @@ class LineBasis:
     waves: tuple[np.ndarray, ...]
     decay: np.ndarray
     freq_hz: np.ndarray
-    windows: tuple[slice, ...]
+    line_couplings: tuple[int, ...]
 
 
 def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
@@ -143,10 +142,10 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
 
     The FID is linear in rho: each of the four observable coherences rho_ij
     evolves as exp(-i 2 pi (E_i - E_j) t), couples to O_ji and decays at
-    rate 1/T2.  Those waveforms, the frequency grid and the line windows
-    depend only on (sys, acq), so an experiment set builds them once and
-    each detection only combines them.  Raises ValueError if the spectral
-    width would alias the doublets.
+    rate 1/T2.  Those waveforms and the frequency grid depend only on
+    (sys, acq), so an experiment set builds them once and each detection
+    only combines them.  Raises ValueError if the spectral width would alias
+    the doublets.
     """
     limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
     if acq.spectral_width <= limit:
@@ -163,14 +162,10 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     decay = -t / sys.t2
     np.exp(decay, out=decay)
     freq = np.fft.fftshift(np.fft.fftfreq(acq.n_points, d=acq.dwell))
-    width = 1.0 / (math.pi * sys.t2)
-    windows = []
-    for center, _ in line_centers(sys):
-        # freq ascends, so the points within the window form one run
-        inside = np.flatnonzero(np.abs(freq - center) <= 3 * width)
-        windows.append(slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0))
+    # coherence (i, j) sits at E_j - E_i; line_centers ascends in frequency too
+    line_couplings = tuple(np.argsort([levels[j] - levels[i] for i, j, _ in couplings]).tolist())
     return LineBasis(
-        sys, acq, couplings, tuple(waves), _read_only(decay), _read_only(freq), tuple(windows)
+        sys, acq, couplings, tuple(waves), _read_only(decay), _read_only(freq), line_couplings
     )
 
 
@@ -185,11 +180,12 @@ def detect(
     """Crush gradients, fire the observe pulse, transform the FID.
 
     The FID is the 4-term combination of the line basis ``lines`` with
-    coefficients O_ji * rho_ij, times the decay envelope; without ``lines``
-    the basis is built for this one detection.  The returned spectrum shares
-    the basis's read-only frequency grid.  Raises ValueError if the spectral
-    width would alias the doublets or ``lines`` was built for another system
-    or acquisition.
+    coefficients c = O_ji * rho_ij, times the decay envelope; without
+    ``lines`` the basis is built for this one detection.  The returned
+    spectrum shares the basis's read-only frequency grid.  Each peak's
+    integral is exactly c * spectral_width / 2, for any line offset, T2 and
+    grid.  Raises ValueError if the spectral width would alias the doublets or
+    ``lines`` was built for another system or acquisition.
     """
     if lines is None:
         lines = synthesize_fid(sys, acq)
@@ -198,31 +194,32 @@ def detect(
     rho = gradient_crush(np.asarray(rho, dtype=complex))
     u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
     rho = u_obs @ rho @ u_obs.conj().T
+    coefficients = [o_ji * rho[i, j] for i, j, o_ji in lines.couplings]
     fid = np.zeros(acq.n_points, dtype=complex)
-    for (i, j, o_ji), wave in zip(lines.couplings, lines.waves):
-        fid += o_ji * rho[i, j] * wave
+    for c, wave in zip(coefficients, lines.waves):
+        fid += c * wave
     fid *= lines.decay
     fid[0] *= 0.5  # half-first-point convention keeps the baseline flat
     spectrum = np.fft.fft(fid)
     del fid  # release the FID before fftshift copies the spectrum
     values = np.fft.fftshift(spectrum)
+    # a line's DFT sums to N times its halved first point (N/2); a point weighs sw/N
     peaks = tuple(
-        Peak(center, complex(np.sum(values[window]) * acq.resolution), spin)
-        for (center, spin), window in zip(line_centers(sys), lines.windows)
+        Peak(center, complex(coefficients[k] * acq.spectral_width / 2), spin)
+        for (center, spin), k in zip(line_centers(sys), lines.line_couplings)
     )
     return Spectrum(lines.freq_hz, values, peaks)
 
 
 def reference_phase(ref: Spectrum) -> float:
     """Zero-order phase correction (degrees) that turns the detected lines of
-    the reference into positive absorption, accurate to well within 1 degree.
+    the reference into positive absorption.
 
-    Summing the line integrals cancels the dispersive tails that each line's
-    doublet partner leaks into its window, so the estimate is exact for a
-    common-phase reference; individual lines keep a few degrees of leakage
-    residue.  Raises AmbiguousReadoutError when no line rises above
-    ``MIN_REFERENCE_MAGNITUDE`` or when the lines do not share a common
-    phase (a sign the input is not a valid reference).
+    The phase is that of the summed line integrals.  The integrals are exact,
+    so every line of a common-phase reference lies on it to rounding.  Raises
+    AmbiguousReadoutError when no line rises above ``MIN_REFERENCE_MAGNITUDE``
+    or when some line lies more than 15 degrees off that phase (a sign the
+    input is not a valid reference); the message quotes the largest residue.
     """
     integrals = np.array([p.integral for p in ref.peaks])
     significant = integrals[np.abs(integrals) > MIN_REFERENCE_MAGNITUDE]
@@ -230,9 +227,11 @@ def reference_phase(ref: Spectrum) -> float:
         raise AmbiguousReadoutError("reference spectrum has no detectable peaks")
     phase = math.degrees(np.angle(np.sum(significant)))
     rotated = significant * np.exp(-1j * math.radians(phase))
-    residue = np.degrees(np.abs(np.angle(rotated)))
-    if float(np.max(residue)) > 15.0:  # dispersive leakage stays under ~6 deg
-        raise AmbiguousReadoutError("reference lines do not share a common phase")
+    residue = float(np.max(np.degrees(np.abs(np.angle(rotated)))))
+    if residue > 15.0:
+        raise AmbiguousReadoutError(
+            f"reference lines do not share a common phase (largest residue {residue:.1f}° > 15°)"
+        )
     return phase
 
 
@@ -261,13 +260,14 @@ def classify(
         heights = integrals / mean_mag if mean_mag > 0 else integrals
     values: dict[int, int] = {}
     for spin in (1, 2):
-        pair = [v for v, p in zip(integrals, spec.peaks) if p.assigned_spin == spin]
-        strong = [v for v in pair if abs(v) > MIN_DOUBLET_SIGNAL]
+        pair = [k for k, p in enumerate(spec.peaks) if p.assigned_spin == spin]
+        strong = [integrals[k] for k in pair if abs(integrals[k]) > MIN_DOUBLET_SIGNAL]
         if not strong:
             raise AmbiguousReadoutError(f"no signal in the spin-{spin} doublet")
         signs = {v > 0 for v in strong}
         if len(signs) > 1:
-            raise AmbiguousReadoutError(f"spin-{spin} doublet lines disagree in sign")
+            quoted = ", ".join(f"{heights[k]:+.3g}" for k in pair)
+            raise AmbiguousReadoutError(f"spin-{spin} doublet lines disagree in sign ({quoted})")
         values[spin] = 0 if signs.pop() else 1
     peaks = tuple(
         Peak(p.center_hz, float(v), p.assigned_spin)

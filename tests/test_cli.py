@@ -167,6 +167,31 @@ class TestPulseCommand:
         for name in ("ref.csv", "f00.csv", "f01.csv", "f10.csv", "f11.csv", "summary.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # lines half-way between 1 Hz grid points, beyond 3 linewidths (0.24 Hz)
+            "nu1_hz = 200\nnu2_hz = -200\nj_hz = 7\nt2_s = 4\n"
+            "spectral_width_hz = 1024\nn_points = 1024\n",
+            # small J at the default 4096 points and 512 Hz
+            "nu1_hz = 40\nnu2_hz = -40\nj_hz = 2\n",
+            # a reference line more than 3 linewidths from every grid point
+            "nu1_hz = -170\nnu2_hz = -826\nj_hz = 17.5\nt2_s = 4\n"
+            "spectral_width_hz = 5000\nn_points = 2048\n",
+        ],
+        ids=["between-grid-points", "small-j", "far-off-grid"],
+    )
+    def test_off_grid_configurations_read_every_label(self, capsys, tmp_path, config):
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "pulse", "--config", str(path), "--out", str(out_dir))
+        assert code == EXIT_OK, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [doc["experiment"] for doc in summary] == ["ref", "f00", "f01", "f10", "f11"]
+        for doc in summary[1:]:
+            assert doc["qubits"] == [int(doc["experiment"][1]), int(doc["experiment"][2])]
+
     def test_env_var_overrides_out_dir(self, capsys, tmp_path, fast_config, monkeypatch):
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv("SPINSEARCH_OUT", str(env_dir))

@@ -62,7 +62,9 @@ def _reference_synthesize_fid(sys, rho, acq):
 
 
 def _reference_detect(sys, rho, acq):
-    """Detection with a fresh FID, frequency grid and boolean line masks."""
+    """Detection with a fresh FID and frequency grid, each line integrated
+    over a boolean mask of +/- 3 linewidths (the readout before exact
+    integrals)."""
     if acq.spectral_width <= 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j):
         raise ValueError("spectral width too small: lines would alias")
     rho = gradient_crush(np.asarray(rho, dtype=complex))
@@ -79,6 +81,34 @@ def _reference_detect(sys, rho, acq):
         for center, spin in line_centers(sys)
     )
     return Spectrum(freq, values, peaks)
+
+
+def _exact_integrals(sys, rho, acq):
+    """c_k * spectral_width / 2 for each line in line_centers order, where
+    c_k = O_ji * rho_ij after the crush and the observe pulse and line k is
+    the coherence (i, j) nearest its centre, at E_j - E_i."""
+    rho = gradient_crush(np.asarray(rho, dtype=complex))
+    u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
+    rho = u_obs @ rho @ u_obs.conj().T
+    energies = np.diag(hamiltonian(sys.nu1, sys.nu2, sys.j)).real
+    observe = OBSERVE_1 + OBSERVE_2
+    rows, cols = np.nonzero(observe.T)
+    lines = [(energies[j] - energies[i], observe[j, i] * rho[i, j]) for i, j in zip(rows, cols)]
+    integrals = []
+    for center, _ in line_centers(sys):
+        _, c = min(lines, key=lambda line: abs(line[0] - center))
+        integrals.append(complex(c * acq.spectral_width / 2))
+    return integrals
+
+
+def _reference_exact_detect(sys, rho, acq):
+    """_reference_detect's spectrum with the exact line integrals."""
+    spec = _reference_detect(sys, rho, acq)
+    peaks = tuple(
+        Peak(p.center_hz, integral, p.assigned_spin)
+        for p, integral in zip(spec.peaks, _exact_integrals(sys, rho, acq))
+    )
+    return Spectrum(spec.freq_hz, spec.values, peaks)
 
 
 def _reference_write_summary_json(path, documents):
@@ -103,16 +133,16 @@ def _reference_write_spectrum_csv(path, spec):
 
 
 def _reference_experiments(sys, acq, epsilon, err):
-    """run_experiments with every detection made by _reference_detect:
+    """run_experiments with every detection made by _reference_exact_detect:
     (reference spectrum, phase, reference result, [(spectrum, result, fidelity)])."""
-    ref_spec = _reference_detect(sys, state_00(), acq)
+    ref_spec = _reference_exact_detect(sys, state_00(), acq)
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase)
     ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
     runs = []
     for label in ALL_LABELS:
         rho = run_sequence(sys, grover_program(label, sys), pseudo_pure_00(epsilon), err)
-        spec = _reference_detect(sys, rho, acq)
+        spec = _reference_exact_detect(sys, rho, acq)
         result = classify(spec, phase, ref_integrals)
         runs.append((spec, result, fidelity(basis_state(2, label.index), rho)))
     return ref_spec, phase, ref_result, runs
@@ -129,19 +159,27 @@ def _assert_identical_spectra(actual, expected):
 
 
 @st.composite
-def detection_inputs(draw):
-    """A validated spin system, a non-aliasing acquisition and a random
-    Hermitian unit-trace rho."""
-    j = draw(st.floats(0.5, 10.0))
+def configurations(draw, j_max, t2_max):
+    """A validated spin system (J up to j_max, T2 up to t2_max) and a
+    non-aliasing acquisition at 1024 to 4096 points."""
+    j = draw(st.floats(0.5, j_max))
     nu1 = draw(st.floats(-200.0, 200.0))
     nu2 = nu1 + draw(st.sampled_from([-1.0, 1.0])) * j * draw(st.floats(10.01, 40.0))
-    sys = SpinSystem(nu1=nu1, nu2=nu2, j=j, t2=draw(st.floats(0.05, 20.0)))
+    sys = SpinSystem(nu1=nu1, nu2=nu2, j=j, t2=draw(st.floats(0.05, t2_max)))
     limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
     acq = AcquisitionParams(
         spectral_width=limit * draw(st.floats(1.0001, 4.0)),
         n_points=draw(st.sampled_from([1024, 2048, 4096])),
         observe_phase=draw(st.floats(0.0, 360.0, exclude_max=True)),
     )
+    return sys, acq
+
+
+@st.composite
+def detection_inputs(draw):
+    """A validated spin system, a non-aliasing acquisition and a random
+    Hermitian unit-trace rho."""
+    sys, acq = draw(configurations(j_max=10.0, t2_max=20.0))
     parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
     a = (parts[:16] + 1j * parts[16:]).reshape(4, 4)
     h = a + a.conj().T
@@ -182,8 +220,7 @@ class TestDetect:
         spec = detect(SYS, state_00(), ACQ)
         assert len(spec.peaks) == 4
         phases = [np.angle(p.integral) for p in spec.peaks]
-        # all four lines share the observe phase (about one degree of
-        # dispersive leakage from the doublet partner aside)
+        # all four lines share the observe phase
         spread = np.degrees(np.max(np.abs(np.angle(np.exp(1j * (np.array(phases) - phases[0]))))))
         assert spread <= 15.0
         centers = [p.center_hz for p in spec.peaks]
@@ -244,7 +281,7 @@ class TestLineBasis:
     @given(detection_inputs())
     def test_detect_matches_per_detection_reference(self, inputs):
         sys, acq, rho = inputs
-        expected = _reference_detect(sys, rho, acq)
+        expected = _reference_exact_detect(sys, rho, acq)
         _assert_identical_spectra(detect(sys, rho, acq), expected)
         _assert_identical_spectra(detect(sys, rho, acq, synthesize_fid(sys, acq)), expected)
 
@@ -303,6 +340,60 @@ class TestLineBasis:
             spectra[0].freq_hz[0] = 0.0
 
 
+class TestLineIntegrals:
+    @given(detection_inputs())
+    def test_each_line_integrates_to_half_the_spectral_width(self, inputs):
+        sys, acq, _ = inputs
+        lines = synthesize_fid(sys, acq)
+        for wave in lines.waves:
+            line = wave * lines.decay
+            line[0] *= 0.5
+            total = np.sum(np.fft.fftshift(np.fft.fft(line))) * acq.resolution
+            assert abs(total - acq.spectral_width / 2) <= 1e-12 * acq.spectral_width / 2
+
+    @given(detection_inputs())
+    def test_spectrum_integrates_to_its_line_integrals(self, inputs):
+        sys, acq, rho = inputs
+        spec = detect(sys, rho, acq)
+        integrals = [p.integral for p in spec.peaks]
+        # relative to the summed line magnitudes, which lines of opposite
+        # sign cannot cancel
+        scale = sum(abs(integral) for integral in integrals)
+        assert abs(np.sum(spec.values) * acq.resolution - sum(integrals)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "sys, acq",
+        [
+            (SYS, ACQ),
+            (SYS, AcquisitionParams(n_points=1024)),
+            (SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0),
+             AcquisitionParams(spectral_width=1024.0, n_points=131072)),
+        ],
+        ids=["default", "1024", "131072"],
+    )
+    def test_window_sums_agree_with_exact_integrals_on_grid(self, sys, acq):
+        assert all((center / acq.resolution).is_integer() for center, _ in line_centers(sys))
+        rot = np.exp(-1j * math.radians(reference_phase(detect(sys, state_00(), acq))))
+        for index in range(4):
+            windowed = _reference_detect(sys, rho_basis(index), acq).peaks
+            for window, exact in zip(windowed, detect(sys, rho_basis(index), acq).peaks):
+                assert (window.integral * rot).real * (exact.integral * rot).real > 0
+                residue = abs(math.degrees(np.angle(window.integral / exact.integral)))
+                assert residue <= 15.0
+
+    @given(configurations(j_max=20.0, t2_max=10.0), st.floats(0.05, 1.0, exclude_min=True))
+    def test_every_accepted_configuration_reads_all_labels(self, config, epsilon):
+        sys, acq = config
+        out = run_experiments(sys, acq, epsilon)
+        assert out.reference_result.qubits == (0, 0)
+        for run in out.runs:
+            bits = (run.label.a, run.label.b)
+            assert run.result.qubits == bits
+            for height, peak in zip(run.result.line_heights, run.result.peaks):
+                expected = -epsilon if bits[peak.assigned_spin - 1] else epsilon
+                assert abs(height - expected) <= 1e-6
+
+
 class TestReferencePhase:
     def test_absorption_reference_is_zero(self):
         spec = detect(SYS, state_00(), AcquisitionParams(observe_phase=90.0))
@@ -326,12 +417,6 @@ class TestReferencePhase:
         difference = (phase_90 - phase_0) % 360.0
         assert min(difference, 360 - difference) == pytest.approx(90.0, abs=1.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AmbiguousReadoutError,
-        reason="known defect: at 1024 points some off-grid line positions make "
-        "reference_phase reject the ideal |00> reference",
-    )
     def test_off_grid_reference_at_minimum_points(self):
         sys = SpinSystem(nu1=70.77, nu2=-88.84, j=6.08)
         spec = detect(sys, state_00(), AcquisitionParams(spectral_width=512.0, n_points=1024))
@@ -341,6 +426,16 @@ class TestReferencePhase:
         spec = detect(SYS, np.eye(4, dtype=complex) / 4, ACQ)
         with pytest.raises(AmbiguousReadoutError, match="no detectable"):
             reference_phase(spec)
+
+    def test_mixed_phase_message_quotes_largest_residue(self):
+        spec = detect(SYS, state_00(), ACQ)
+        quadrature = tuple(
+            Peak(p.center_hz, abs(p.integral) * (1j if i % 2 else 1), p.assigned_spin)
+            for i, p in enumerate(spec.peaks)
+        )
+        message = r"common phase \(largest residue 45\.0° > 15°\)$"
+        with pytest.raises(AmbiguousReadoutError, match=message):
+            reference_phase(Spectrum(spec.freq_hz, spec.values, quadrature))
 
 
 def _phase_and_reference():
@@ -381,6 +476,17 @@ class TestClassify:
         )
         with pytest.raises(AmbiguousReadoutError, match="disagree"):
             classify(Spectrum(spec.freq_hz, spec.values, flipped), phase, ref)
+
+    def test_disagreement_message_quotes_heights(self):
+        phase, ref = _phase_and_reference()
+        spec = detect(SYS, rho_basis(1), ACQ)
+        halved = tuple(
+            Peak(p.center_hz, p.integral * (-0.5 if i == 0 else 1), p.assigned_spin)
+            for i, p in enumerate(spec.peaks)
+        )
+        message = r"^spin-2 doublet lines disagree in sign \(\+0\.5, -1\)$"
+        with pytest.raises(AmbiguousReadoutError, match=message):
+            classify(Spectrum(spec.freq_hz, spec.values, halved), phase, ref)
 
     @pytest.mark.parametrize("observe", [0.0, 37.0, 90.0, 213.0])
     def test_observe_phase_invariance(self, observe):
