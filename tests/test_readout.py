@@ -61,16 +61,20 @@ def _reference_synthesize_fid(sys, rho, acq):
     return fid * np.exp(-t / sys.t2)
 
 
+def _observed(rho, acq):
+    """rho after the gradient crush and the observe pulse."""
+    rho = gradient_crush(np.asarray(rho, dtype=complex))
+    u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
+    return u_obs @ rho @ u_obs.conj().T
+
+
 def _reference_detect(sys, rho, acq):
     """Detection with a fresh FID and frequency grid, each line integrated
     over a boolean mask of +/- 3 linewidths (the readout before exact
     integrals)."""
     if acq.spectral_width <= 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j):
         raise ValueError("spectral width too small: lines would alias")
-    rho = gradient_crush(np.asarray(rho, dtype=complex))
-    u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
-    rho = u_obs @ rho @ u_obs.conj().T
-    fid = _reference_synthesize_fid(sys, rho, acq)
+    fid = _reference_synthesize_fid(sys, _observed(rho, acq), acq)
     fid[0] *= 0.5
     values = np.fft.fftshift(np.fft.fft(fid))
     freq = np.fft.fftshift(np.fft.fftfreq(acq.n_points, d=acq.dwell))
@@ -87,9 +91,7 @@ def _exact_integrals(sys, rho, acq):
     """c_k * spectral_width / 2 for each line in line_centers order, where
     c_k = O_ji * rho_ij after the crush and the observe pulse and line k is
     the coherence (i, j) nearest its centre, at E_j - E_i."""
-    rho = gradient_crush(np.asarray(rho, dtype=complex))
-    u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
-    rho = u_obs @ rho @ u_obs.conj().T
+    rho = _observed(rho, acq)
     energies = np.diag(hamiltonian(sys.nu1, sys.nu2, sys.j)).real
     observe = OBSERVE_1 + OBSERVE_2
     rows, cols = np.nonzero(observe.T)
