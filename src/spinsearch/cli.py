@@ -217,6 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("provide exactly one of a label or --all")
     if args.command == "search" and args.n > 20:
         parser.error("n must be <= 20 (desk scale)")
+    if args.command == "search" and args.scan and args.n < 2:
+        parser.error("--scan tabulates 2..n qubits and needs n >= 2")
     try:
         return args.func(args)
     except AmbiguousReadoutError as exc:

@@ -56,12 +56,6 @@ def ket_label(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
-def density_from_state(psi: np.ndarray) -> np.ndarray:
-    """Rank-one density matrix |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
-
-
 def apply_unitary(u: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Apply U to a state vector (U s) or density matrix (U s U†).
 

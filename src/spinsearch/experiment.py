@@ -22,7 +22,7 @@ from .readout import (
     synthesize_fid,
 )
 from .sequence import PropagatorTable, grover_program, run_sequence
-from .spins import ErrorModel, IDEAL, SpinSystem, pseudo_pure_00, state_00
+from .spins import ErrorModel, IDEAL, SpinSystem, pseudo_pure_00
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def run_experiments(
     propagator table, so each distinct pulse or delay is built once per set.
     """
     lines = synthesize_fid(sys, acq)
-    ref_spec = detect(sys, state_00(), acq, lines)
+    ref_spec = detect(sys, pseudo_pure_00(1.0), acq, lines)
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase)
     ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)

@@ -7,8 +7,8 @@ Wire format, one event per line ('#' starts a comment):
     DELAY <seconds>
     GRAD
 
-with target one of 1, 2, both (SOFT only for 1 or 2).  Round-trips
-bit-exactly through repr floats.
+with target one of 1, 2, both (SOFT only for 1 or 2), and notes as one-line
+comments.  Round-trips bit-exactly through repr floats.
 """
 
 from __future__ import annotations
@@ -111,10 +111,16 @@ def gradient() -> PulseEvent:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered events plus free-text notes (serialized as comments)."""
+    """Ordered events plus one-line notes (serialized as comments; a line
+    break in a note is rejected, as its tail would read back as events)."""
 
     events: tuple[PulseEvent, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        for note in self.notes:
+            if "".join(note.splitlines()) != note:
+                raise ValueError(f"note {note!r} contains a line break")
 
     def __iter__(self):
         return iter(self.events)
@@ -125,9 +131,8 @@ class PulseSequence:
 
 def format_sequence(seq: PulseSequence | list[PulseEvent]) -> str:
     """Serialize to the line-based text format."""
-    events = getattr(seq, "events", seq)
     lines = [f"# {note}" for note in getattr(seq, "notes", ())]
-    for ev in events:
+    for ev in seq:
         if ev.kind == PULSE:
             line = f"PULSE {ev.target} {float(ev.angle_deg)!r} {float(ev.phase_deg)!r}"
             if ev.soft_tp is not None:
@@ -156,11 +161,8 @@ def parse_sequence(text: str) -> PulseSequence:
         if word == "PULSE":
             if len(parts) not in (4, 6):
                 raise ValueError(f"malformed PULSE line: {raw!r}")
-            target: int | str = parts[1]
-            if target in ("1", "2"):
-                target = int(target)
-            elif target != TARGET_BOTH:
-                raise ValueError(f"unknown pulse target in line: {raw!r}")
+            # an unknown target word stays a string, which PulseEvent rejects
+            target = _TARGET_WORDS.get(parts[1], parts[1])
             soft_tp = None
             if len(parts) == 6:
                 if parts[4].upper() != "SOFT":
@@ -317,39 +319,18 @@ class PropagatorTable:
         return u
 
 
-def _run_products(table: PropagatorTable, seq):
-    """Split the sequence at its gradient events: yield the propagator product
-    of each gradient-free run of events (earliest applied first), and None for
-    each gradient.
-
-    The propagators come from ``table``, which builds each distinct event's
-    propagator once however many sequences it serves.
-    """
-    product = None
-    for ev in getattr(seq, "events", seq):
-        if ev.kind == GRADIENT:
-            if product is not None:
-                yield product
-                product = None
-            yield None
-            continue
-        u = table.propagator(ev)
-        product = u if product is None else u @ product
-    if product is not None:
-        yield product
-
-
 def sequence_unitary(sys: SpinSystem, seq, err: ErrorModel = IDEAL) -> np.ndarray:
     """Product of the event propagators (earliest applied first), as a new
     array.
 
     Raises on gradient events, which have no unitary representation.
     """
+    table = PropagatorTable(sys, err)
     u = np.eye(4, dtype=complex)
-    for product in _run_products(PropagatorTable(sys, err), seq):
-        if product is None:
+    for ev in seq:
+        if ev.kind == GRADIENT:
             raise ValueError("gradient events have no unitary; use run_sequence")
-        u = np.array(product)  # without gradients there is exactly one run
+        u = table.propagator(ev) @ u
     return u
 
 
@@ -361,8 +342,8 @@ def run_sequence(
     table: PropagatorTable | None = None,
 ) -> np.ndarray:
     """Left-fold the sequence over a density matrix: each gradient-free run
-    of events conjugates it by its propagator product, gradient events crush
-    nonzero coherence orders.
+    of events conjugates it by the product of its propagators, gradient
+    events crush nonzero coherence orders.
 
     The propagators come from ``table``, shared by every sequence of an
     experiment set; without one, a table is built for this one run.  Raises
@@ -373,6 +354,16 @@ def run_sequence(
     elif table.system != sys or table.error != err:
         raise ValueError("propagator table was built for a different system or error model")
     rho = np.asarray(rho0, dtype=complex)
-    for product in _run_products(table, seq):
-        rho = gradient_crush(rho) if product is None else apply_unitary(product, rho)
+    product = None
+    for ev in seq:
+        if ev.kind != GRADIENT:
+            u = table.propagator(ev)
+            product = u if product is None else u @ product
+            continue
+        if product is not None:
+            rho = apply_unitary(product, rho)
+            product = None
+        rho = gradient_crush(rho)
+    if product is not None:
+        rho = apply_unitary(product, rho)
     return rho

@@ -1,5 +1,6 @@
 """Two-spin dynamics: weak-coupling energy levels, RF pulse propagators,
-gradient crushers and effective pure states.
+gradient crushers and effective pure states.  ``pseudo_pure_00(1.0)`` is the
+package's one |00><00| density matrix.
 
 All frequencies are rotating-frame offsets in Hz; propagators are
 U = exp(-i 2*pi*t H) with H in Hz.  Pulse phases map +x=0, +y=90, -x=180,
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import coherence_order_matrix, density_from_state
+from .core import coherence_order_matrix
 
 TARGET_SPIN1 = 1
 TARGET_SPIN2 = 2
@@ -227,9 +228,3 @@ def temporal_average_00(populations) -> np.ndarray:
     avg = np.mean(np.asarray(cycles), axis=0)
     return np.diag(avg).astype(complex)
 
-
-def state_00() -> np.ndarray:
-    """|00><00| as a density matrix."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    return density_from_state(psi)

@@ -17,6 +17,19 @@ IZ2 = np.kron(IDENTITY_2, IZ)
 IZZ = np.kron(IZ, IZ)
 
 
+def density_from_state(psi: np.ndarray) -> np.ndarray:
+    """Rank-one density matrix |psi><psi|."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+def state_00() -> np.ndarray:
+    """|00><00| built from the ket: the reference for ``pseudo_pure_00(1.0)``."""
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    return density_from_state(psi)
+
+
 def check_state_vector(psi: np.ndarray, tol: float = NORM_TOL) -> None:
     """Raise ValueError unless psi is a unit-norm state vector of 2^n entries."""
     psi = np.asarray(psi)

@@ -35,9 +35,8 @@ from spinsearch.spins import (
     gradient_crush,
     ideal_pulse,
     pseudo_pure_00,
-    state_00,
 )
-from state_checks import equal_up_to_global_phase, predicted_success_probability
+from state_checks import equal_up_to_global_phase, predicted_success_probability, state_00
 
 
 def report(name):

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from spinsearch.cli import EXIT_CLASSIFICATION, EXIT_OK, EXIT_USAGE, main, parse
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SCAN_SCRIPT = Path(__file__).parents[1] / "scripts" / "pulse_error_scan.py"
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +86,16 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", "--n", "2", "--k", "5")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_scan_below_two_qubits_rejected(self, capsys, n):
+        # the table starts at n = 2, so a smaller n would print no rows
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--scan", "--n", n])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--scan" in captured.err
 
     def test_n_over_desk_scale_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -256,3 +269,12 @@ class TestConfigParser:
         path.write_text("nu1_hz 120\n")
         with pytest.raises(ValueError, match="key = value"):
             parse_config_file(str(path))
+
+
+class TestPulseErrorScanScript:
+    def test_output_is_byte_identical(self, capsys, monkeypatch):
+        # three soft-pulse experiment sets, fidelities and readouts pinned byte for byte
+        monkeypatch.setattr(sys, "argv", [str(SCAN_SCRIPT), "--points", "3"])
+        assert runpy.run_path(str(SCAN_SCRIPT))["main"]() == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "pulse_error_scan_points3.txt").read_text()

@@ -9,7 +9,6 @@ from spinsearch.core import (
     apply_single_qubit,
     apply_unitary,
     basis_state,
-    density_from_state,
     fidelity,
     is_unitary,
 )
@@ -19,6 +18,7 @@ from state_checks import (
     check_density_matrix,
     check_state_vector,
     coherence_order,
+    density_from_state,
     equal_up_to_global_phase,
 )
 

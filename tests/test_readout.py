@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spinsearch import readout
-from spinsearch.core import basis_state, density_from_state, fidelity
+from spinsearch.core import basis_state, fidelity
 from spinsearch.experiment import run_experiments
 from spinsearch.grover import ALL_LABELS
 from spinsearch.readout import (
@@ -35,9 +35,8 @@ from spinsearch.spins import (
     gradient_crush,
     ideal_pulse,
     pseudo_pure_00,
-    state_00,
 )
-from state_checks import hamiltonian
+from state_checks import density_from_state, hamiltonian, state_00
 
 SYS = SpinSystem()
 ACQ = AcquisitionParams()

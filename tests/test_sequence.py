@@ -39,9 +39,8 @@ from spinsearch.spins import (
     SpinSystem,
     gradient_crush,
     pseudo_pure_00,
-    state_00,
 )
-from state_checks import equal_up_to_global_phase
+from state_checks import equal_up_to_global_phase, state_00
 
 offsets = st.floats(-400, 400, allow_nan=False)
 
@@ -112,6 +111,17 @@ class TestWireFormat:
         for label in ALL_LABELS:
             seq = compile_oracle(label, sys)
             assert parse_sequence(format_sequence(seq)).events == seq.events
+
+    @pytest.mark.parametrize("note", ["note\nGRAD", "note\r\nGRAD", "note\rGRAD",
+                                      "note\x0bGRAD", "note\u2028GRAD", "note\n"])
+    def test_note_with_line_break_rejected(self, note):
+        # written as a comment, the text after the break would parse as events
+        with pytest.raises(ValueError, match="line break"):
+            PulseSequence((), (note,))
+
+    def test_one_line_notes_accepted(self):
+        seq = PulseSequence((), ("", "phase row f00: theta=+y # and more"))
+        assert parse_sequence(format_sequence(seq)).events == ()
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\nPULSE both 90.0 90.0  # inline\nDELAY 0.25\nGRAD\n"

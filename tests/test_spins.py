@@ -11,7 +11,6 @@ from spinsearch.core import (
     IX,
     IY,
     SIGMA_X,
-    density_from_state,
     is_unitary,
 )
 from spinsearch.grover import pseudo_hadamard
@@ -24,15 +23,16 @@ from spinsearch.spins import (
     ideal_pulse,
     pseudo_pure_00,
     soft_pulse,
-    state_00,
     temporal_average_00,
 )
 from state_checks import (
     IZ1,
     IZ2,
     check_density_matrix,
+    density_from_state,
     equal_up_to_global_phase,
     hamiltonian,
+    state_00,
 )
 
 offsets = st.floats(-500, 500, allow_nan=False)
