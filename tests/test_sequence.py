@@ -121,7 +121,7 @@ class TestWireFormat:
 
     def test_one_line_notes_accepted(self):
         seq = PulseSequence((), ("", "phase row f00: theta=+y # and more"))
-        assert parse_sequence(format_sequence(seq)).events == ()
+        assert parse_sequence(format_sequence(seq)) == seq
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\nPULSE both 90.0 90.0  # inline\nDELAY 0.25\nGRAD\n"
