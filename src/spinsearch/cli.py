@@ -215,10 +215,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gate" and (args.label is None) == (not args.all):
         parser.error("provide exactly one of a label or --all")
-    if args.command == "search" and args.n > 20:
-        parser.error("n must be <= 20 (desk scale)")
     if args.command == "search" and args.scan and args.n < 2:
         parser.error("--scan tabulates 2..n qubits and needs n >= 2")
+    if args.command == "search" and not 1 <= args.n <= 20:
+        parser.error(f"n must be between 1 and 20 (desk scale), got {args.n}")
     try:
         return args.func(args)
     except AmbiguousReadoutError as exc:

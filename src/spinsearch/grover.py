@@ -218,21 +218,27 @@ def monte_carlo_evaluations(
     """Simulate sampling without replacement; returns (mean, std error).
 
     Each trial draws items uniformly from the remaining pool until a marked
-    one comes up; with no marked item drawn yet, draw i is marked with
-    probability k / (N - i + 1).  This simulates the process directly rather
-    than using the closed form, so it is an independent check of it.
+    one comes up.  Its first x draws all miss with probability
+    S(x) = prod_{i<x} (N - k - i) / (N - i), the survival function, so one
+    uniform u per trial fixes its count as the number of x >= 0 with
+    S(x) > u.  S is tabulated by cumprod from 64 entries, growing x4 until it
+    falls to or below the smallest u or reaches its full N - k + 1 entries,
+    and inverted by one searchsorted.  This simulates the process directly
+    rather than using the closed form, so it is an independent check of it.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= N")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    counts = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
-    for draw in range(1, n - k + 2):  # the last draw, from the k marked alone, always hits
-        hits = rng.random(active.size) < k / (n - draw + 1)
-        counts[active[hits]] = draw
-        active = active[~hits]
-        if active.size == 0:
+    u = rng.random(trials)
+    lowest = u.min()
+    full, size = n - k + 1, 64  # S(N - k + 1) = 0: the last draw always hits
+    while True:
+        i = np.arange(min(size, full) - 1)
+        survival = np.cumprod(np.concatenate(([1.0], (n - k - i) / (n - i))))
+        if survival.size == full or survival[-1] <= lowest:
             break
+        size *= 4
+    counts = np.searchsorted(-survival, -u)
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(np.mean(counts)), stderr

@@ -152,7 +152,7 @@ def parse_sequence(text: str) -> PulseSequence:
     for raw in text.splitlines():
         line = raw.split("#", 1)
         if len(line) == 2 and not line[0].strip():
-            notes.append(line[1].strip())
+            notes.append(line[1].removeprefix(" "))  # the space format_sequence writes
         body = line[0].strip()
         if not body:
             continue

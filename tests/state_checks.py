@@ -109,3 +109,19 @@ def predicted_success_probability(n: int, k: int, iterations: int) -> float:
     """sin^2((2m+1) * asin(sqrt(k/N))): the exact rotation-picture value."""
     theta = math.asin(math.sqrt(k / n))
     return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+def monte_carlo_by_draw(n: int, k: int, trials: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Sampling without replacement drawn draw by draw, one uniform per trial
+    per draw: the reference for ``grover.monte_carlo_evaluations``.  With no
+    marked item drawn yet, draw i is marked with probability k / (N - i + 1)."""
+    counts = np.zeros(trials, dtype=np.int64)
+    active = np.arange(trials)
+    for draw in range(1, n - k + 2):  # the last draw, from the k marked alone, always hits
+        hits = rng.random(active.size) < k / (n - draw + 1)
+        counts[active[hits]] = draw
+        active = active[~hits]
+        if active.size == 0:
+            break
+    stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(counts)), stderr

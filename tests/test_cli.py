@@ -102,6 +102,16 @@ class TestSearchCommand:
             main(["search", "--n", "21"])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("n", ["-2", "0", "21"])
+    def test_n_outside_qubit_range_rejected(self, capsys, n):
+        # N = 2**n is a fraction for n < 0, so the range is checked before k
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--n", n])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "between 1 and 20" in captured.err
+
 
 @pytest.fixture()
 def fast_config(tmp_path):

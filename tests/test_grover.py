@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,11 +28,23 @@ from spinsearch.grover import (
 from state_checks import (
     equal_up_to_global_phase,
     global_phase_factor,
+    monte_carlo_by_draw,
     predicted_success_probability,
     ry,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: random(size) returns chosen uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=float)
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
 
 
 class TestPseudoHadamard:
@@ -397,10 +410,72 @@ class TestClassicalComparator:
         ],
     )
     def test_random_stream_frozen(self, n, k, trials, seed, expected):
-        # values of the draw-by-draw sampler at these seeds; a change to how
-        # it consumes the generator changes them
+        # values of the draw-by-draw reference sampler at these seeds; a
+        # change to how it consumes the generator changes them
+        got = monte_carlo_by_draw(n, k, trials, np.random.default_rng(seed))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n,k,trials,seed,expected",
+        [
+            (8, 1, 5, 0, (5.4, 1.2489995996796794)),
+            (8, 1, 1, 0, (3.0, 0.0)),
+            (1024, 3, 7, 11, (385.42857142857144, 95.86792927744699)),
+        ],
+    )
+    def test_survival_stream_frozen(self, n, k, trials, seed, expected):
+        # one uniform per trial, inverted through the survival function; a
+        # change to how it consumes the generator changes these values
         got = monte_carlo_evaluations(n, k, trials, np.random.default_rng(seed))
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n,k", [(16, 1), (64, 16), (100, 10)])
+    def test_matches_draw_by_draw_reference(self, n, k):
+        # the two samplers consume the generator differently, so they agree
+        # in distribution only: means within 4 combined standard errors
+        mean, stderr = monte_carlo_evaluations(n, k, 50_000, np.random.default_rng(5))
+        ref_mean, ref_stderr = monte_carlo_by_draw(n, k, 50_000, np.random.default_rng(6))
+        assert abs(mean - ref_mean) <= 4 * math.hypot(stderr, ref_stderr)
+
+    @staticmethod
+    def _check_exact_counts(n, k, xs):
+        # S(x) = prod_{i<x} (N-k-i)/(N-i) in exact arithmetic, with
+        # S(N-k+1) = 0; a trial with uniform u counts the x with S(x) > u.
+        # cumprod rounds each product, so "just below" and "just above"
+        # S(x) keep a 1e-12 relative margin.
+        survival = [Fraction(1)]
+        for i in range(n - k + 1):
+            survival.append(survival[-1] * Fraction(n - k - i, n - i))
+        cases = [(0.0, n - k + 1)]
+        for x in xs:
+            cases.append((float(survival[x]) * (1 - 1e-12), x + 1))
+            if x > 0:
+                cases.append((float(survival[x]) * (1 + 1e-12), x))
+        for u, count in cases:
+            assert survival[count] <= Fraction(u) < survival[count - 1]
+            mean, _ = monte_carlo_evaluations(n, k, 1, _FixedUniforms([u]))
+            assert mean == count, (n, k, u)
+
+    def test_counts_invert_exact_survival(self):
+        for n in range(1, 33):
+            for k in range(1, n + 1):
+                self._check_exact_counts(n, k, range(n - k + 1))
+
+    @pytest.mark.parametrize("n,k", [(4096, 1), (2000, 3)])
+    def test_counts_exact_where_table_grows(self, n, k):
+        # the table starts at 64 entries and grows x4; check both sides of
+        # each boundary and the last entry
+        xs = [63, 64, 65, 255, 256, 257, 1023, 1024, 1025, n - k]
+        self._check_exact_counts(n, k, xs)
+
+    @given(st.integers(1, 2**20), st.data())
+    def test_counts_within_pool(self, n, data):
+        k = data.draw(st.integers(1, n))
+        u = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        count, _ = monte_carlo_evaluations(n, k, 1, _FixedUniforms([u]))
+        assert 1 <= count <= n - k + 1
+        assert count == int(count)
+        assert monte_carlo_evaluations(n, n, 50, np.random.default_rng(n)) == (1.0, 0.0)
 
     def test_rejects_zero_marked(self):
         with pytest.raises(ValueError):

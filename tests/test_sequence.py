@@ -87,6 +87,9 @@ def candidate_events(draw):
         return None
 
 
+_ONE_LINE = st.text().filter(lambda t: "".join(t.splitlines()) == t)
+
+
 class TestWireFormat:
     def test_round_trip(self):
         seq = PulseSequence(
@@ -121,6 +124,14 @@ class TestWireFormat:
 
     def test_one_line_notes_accepted(self):
         seq = PulseSequence((), ("", "phase row f00: theta=+y # and more"))
+        assert parse_sequence(format_sequence(seq)) == seq
+
+    @given(st.lists(st.tuples(st.text(" ", max_size=3), _ONE_LINE, _ONE_LINE,
+                              st.text(" ", max_size=3)), max_size=4))
+    def test_padded_notes_round_trip(self, parts):
+        # only the single space after "#" is format_sequence's own
+        notes = tuple(lead + head + "#" + tail + trail for lead, head, tail, trail in parts)
+        seq = PulseSequence((gradient(),), notes)
         assert parse_sequence(format_sequence(seq)) == seq
 
     def test_comments_and_blanks_ignored(self):
