@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,18 +46,23 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CLASSIFICATION = 2
 
-CONFIG_KEYS = ("nu1_hz", "nu2_hz", "j_hz", "t2_s", "spectral_width_hz", "n_points", "epsilon")
+# config key -> field of SpinSystem or AcquisitionParams
+_SPIN_FIELDS = {"nu1_hz": "nu1", "nu2_hz": "nu2", "j_hz": "j", "t2_s": "t2"}
+_ACQUISITION_FIELDS = {"spectral_width_hz": "spectral_width", "n_points": "n_points"}
+CONFIG_KEYS = (*_SPIN_FIELDS, *_ACQUISITION_FIELDS, "epsilon")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration for the pulse-level pipeline."""
+    """Parsed configuration for the pulse-level pipeline.  A setting that
+    neither the config file nor a flag gives takes the default of the class
+    or function it belongs to; ``epsilon`` is None then."""
 
-    spin_system: SpinSystem = field(default_factory=SpinSystem)
-    acquisition: AcquisitionParams = field(default_factory=AcquisitionParams)
-    epsilon: float = 1.0
-    error_model: ErrorModel = IDEAL
-    out_dir: str = "."
+    spin_system: SpinSystem
+    acquisition: AcquisitionParams
+    epsilon: float | None
+    error_model: ErrorModel
+    out_dir: str
 
 
 def parse_config_file(path: str) -> dict[str, float]:
@@ -79,23 +84,15 @@ def parse_config_file(path: str) -> dict[str, float]:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    raw: dict[str, float] = {}
-    if args.config:
-        raw = parse_config_file(args.config)
-    spin = SpinSystem(
-        nu1=raw.get("nu1_hz", 80.0),
-        nu2=raw.get("nu2_hz", -80.0),
-        j=raw.get("j_hz", 7.0),
-        t2=raw.get("t2_s", 1.0),
-    )
-    n_points = raw.get("n_points", 4096.0)
-    if not n_points.is_integer():
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
-    acq = AcquisitionParams(
-        spectral_width=raw.get("spectral_width_hz", 512.0),
-        n_points=int(n_points),
-    )
-    epsilon = args.epsilon if args.epsilon is not None else raw.get("epsilon", 1.0)
+    raw: dict[str, float] = parse_config_file(args.config) if args.config else {}
+    spin = SpinSystem(**{name: raw[key] for key, name in _SPIN_FIELDS.items() if key in raw})
+    acq_fields = {name: raw[key] for key, name in _ACQUISITION_FIELDS.items() if key in raw}
+    if "n_points" in acq_fields:
+        if not acq_fields["n_points"].is_integer():
+            raise ValueError(f"n_points must be an integer, got {acq_fields['n_points']!r}")
+        acq_fields["n_points"] = int(acq_fields["n_points"])
+    acq = AcquisitionParams(**acq_fields)
+    epsilon = args.epsilon if args.epsilon is not None else raw.get("epsilon")
     err = ErrorModel("soft-pulse", args.error_tp) if args.error_tp else IDEAL
     out_dir = os.environ.get("SPINSEARCH_OUT", args.out)
     return RunConfig(spin, acq, epsilon, err, out_dir)
@@ -127,8 +124,9 @@ def cmd_gate(args: argparse.Namespace) -> int:
 def cmd_pulse(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
+    purity = {} if config.epsilon is None else {"epsilon": config.epsilon}
     experiments = run_experiments(
-        config.spin_system, config.acquisition, config.epsilon, config.error_model
+        config.spin_system, config.acquisition, err=config.error_model, **purity
     )
     write_spectrum_csv(os.path.join(config.out_dir, "ref.csv"), experiments.reference_spectrum)
     for run in experiments.runs:
@@ -170,9 +168,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             for k in sorted({1, size // 4, size // 2}):
                 print(_search_row(n_qubits, k, None, args.seed, args.trials))
         return EXIT_OK
-    if args.k > 2**args.n:
+    k = 1 if args.k is None else args.k
+    if k > 2**args.n:
         raise ValueError("k cannot exceed N = 2**n")
-    print(_search_row(args.n, args.k, args.m, args.seed, args.trials))
+    print(_search_row(args.n, k, args.m, args.seed, args.trials))
     return EXIT_OK
 
 
@@ -198,7 +197,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="search-complexity table")
     p_search.add_argument("--n", type=int, default=2, help="number of qubits (N = 2**n)")
-    p_search.add_argument("--k", type=int, default=1, help="number of marked elements")
+    p_search.add_argument("--k", type=int, default=None,
+                          help="number of marked elements (default 1)")
     p_search.add_argument("--m", type=int, default=None,
                           help="iteration count (default: the optimum)")
     p_search.add_argument("--scan", action="store_true",
@@ -217,6 +217,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("provide exactly one of a label or --all")
     if args.command == "search" and args.scan and args.n < 2:
         parser.error("--scan tabulates 2..n qubits and needs n >= 2")
+    if args.command == "search" and args.scan:
+        fixed = [flag for flag, value in (("--k", args.k), ("--m", args.m)) if value is not None]
+        if fixed:
+            parser.error(f"--scan chooses k and m itself; drop {' and '.join(fixed)}")
     if args.command == "search" and not 1 <= args.n <= 20:
         parser.error(f"n must be between 1 and 20 (desk scale), got {args.n}")
     try:

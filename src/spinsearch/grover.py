@@ -2,8 +2,11 @@
 amplification, plus the classical sampling comparator.
 
 The search diffusion h^-1(x n) . U_00 . h(x n) equals I - 2|s><s| because
-h^-1 = h^T, with the start state s_x = (-1)^popcount(x)/sqrt(N): Grover's
-inversion about the mean, one dot product and one axpy per iterate, O(N).
+h^-1 = h^T, with the start state s_x = (-1)^popcount(x)/sqrt(N).  The sign
+frame D = diag((-1)^popcount(x)) commutes with every marked-sign oracle and
+maps s to the uniform vector, so in frame amplitudes phi = D.psi the
+diffusion is Grover's inversion about the mean, phi <- phi - 2 mean(phi), on
+a real vector: O(N) per iterate, with no start vector.
 
 Conventions (fixed package-wide): Ry(beta) = exp(-i*beta*sigma_y/2), so the
 pseudo-Hadamard h = Ry(90 deg) = (1/sqrt(2)) [[1, -1], [1, 1]] and h maps
@@ -141,43 +144,38 @@ def read_bits(psi: np.ndarray) -> tuple[int, int]:
     return index >> 1, index & 1
 
 
-def _start_amplitudes(n_qubits: int) -> np.ndarray:
-    """(h^-1)^(x n) |0...0> as a real vector: entry x is (-1)^popcount(x)/sqrt(N),
-    built by doubling (entries [w, 2w) are entries [0, w) with one more bit set)."""
-    size = 2**n_qubits
-    s = np.empty(size)
-    s[0] = 1.0 / math.sqrt(size)
-    width = 1
-    while width < size:
-        np.negative(s[:width], out=s[width : 2 * width])
-        width *= 2
-    return s
-
-
-def grover_start(problem: SearchProblem) -> np.ndarray:
-    """The complex start state s = (h^-1)^(x n) |0...0> of the search iteration."""
-    return _start_amplitudes(problem.n_qubits).astype(complex)
-
-
-def grover_iterate(problem: SearchProblem, psi: np.ndarray) -> np.ndarray:
-    """One search iterate: marked-set sign flip, then the inversion about the
-    start state, psi <- psi - 2<s|psi> s (O(N))."""
-    s = _start_amplitudes(problem.n_qubits)
-    psi = np.array(psi, dtype=complex)
-    psi[problem.marked] *= -1
-    psi -= (2 * (s @ psi)) * s
-    return psi
+def grover_iterate(problem: SearchProblem, phi: np.ndarray) -> np.ndarray:
+    """One search iterate on real frame amplitudes phi = D.psi: the marked-set
+    sign flip, then the inversion about the mean, phi <- phi - 2 mean(phi).
+    Returns a new float64 array; a complex input raises ValueError."""
+    phi = np.asarray(phi)
+    if phi.dtype.kind == "c":
+        raise ValueError("grover_iterate takes real frame amplitudes, not a complex state")
+    phi = phi.astype(float)
+    phi[problem.marked] *= -1
+    phi -= 2 * phi.mean()
+    return phi
 
 
 def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
-    """State after ``iterations`` applications of the search iterate to the
-    uniform start state.  Matrix-free; fine up to 20 qubits."""
+    """The float64 state psi = D.phi after ``iterations`` search iterates from
+    the start state s = (h^-1)^(x n) |0...0>, whose frame amplitudes are the
+    uniform 1/sqrt(N).  Matrix-free; fine up to 20 qubits."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    psi = grover_start(problem)
+    size = problem.size
+    phi = np.full(size, 1.0 / math.sqrt(size))
     for _ in range(iterations):
-        psi = grover_iterate(problem, psi)
-    return psi
+        phi = grover_iterate(problem, phi)
+    # D's entries [w, 2w) are its entries [0, w) with one more bit set
+    signs = np.empty(size)
+    signs[0] = 1.0
+    width = 1
+    while width < size:
+        np.negative(signs[:width], out=signs[width : 2 * width])
+        width *= 2
+    phi *= signs
+    return phi
 
 
 def success_probability(problem: SearchProblem, psi: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import runpy
 import sys
@@ -6,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from spinsearch.cli import EXIT_CLASSIFICATION, EXIT_OK, EXIT_USAGE, main, parse_config_file
+from spinsearch.experiment import run_experiments
+from spinsearch.readout import AcquisitionParams
+from spinsearch.spins import SpinSystem
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,11 +73,23 @@ class TestSearchCommand:
         assert out_a == out_b
 
     def test_scan_output_is_byte_identical(self, capsys):
-        # the full table, Monte-Carlo column included, pinned byte for byte
-        code, out, _ = run_cli(capsys, "search", "--scan", "--n", "10",
-                               "--seed", "1", "--trials", "2000")
-        assert code == EXIT_OK
-        assert out == (GOLDEN / "search_scan_n10_seed1_trials2000.txt").read_text()
+        # the n = 10 table and three desk-scale rows, Monte-Carlo column
+        # included, pinned byte for byte
+        goldens = {
+            "search_scan_n10_seed1_trials2000.txt": [["--scan", "--n", "10"]],
+            "search_large_n_seed1_trials2000.txt": [
+                ["--n", "16", "--k", "1"],
+                ["--n", "20", "--k", "262144"],
+                ["--n", "20", "--k", "524288"],
+            ],
+        }
+        for name, commands in goldens.items():
+            out = ""
+            for argv in commands:
+                code, row, _ = run_cli(capsys, "search", *argv, "--seed", "1", "--trials", "2000")
+                assert code == EXIT_OK
+                out += row
+            assert out == (GOLDEN / name).read_text(), name
 
     def test_zero_trials_rejected(self, capsys):
         code, out, err = run_cli(capsys, "search", "--n", "4", "--k", "1",
@@ -96,6 +112,16 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--scan" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--k", "7"), ("--m", "99")])
+    def test_scan_with_fixed_k_or_m_rejected(self, capsys, flag, value):
+        # the scan chooses k in {1, N/4, N/2} and the optimal m itself
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--scan", "--n", "3", flag, value])
+        assert excinfo.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"drop {flag}" in captured.err
 
     def test_n_over_desk_scale_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -214,6 +240,40 @@ class TestPulseCommand:
         assert [doc["experiment"] for doc in summary] == ["ref", "f00", "f01", "f10", "f11"]
         for doc in summary[1:]:
             assert doc["qubits"] == [int(doc["experiment"][1]), int(doc["experiment"][2])]
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, capsys, tmp_path):
+        # a config that spells out every default writes the same bytes as
+        # one that leaves them to SpinSystem, AcquisitionParams and
+        # run_experiments
+        spin, acq = SpinSystem(), AcquisitionParams()
+        epsilon = inspect.signature(run_experiments).parameters["epsilon"].default
+        spelled = tmp_path / "spelled.cfg"
+        spelled.write_text(
+            f"nu1_hz = {spin.nu1}\nnu2_hz = {spin.nu2}\nj_hz = {spin.j}\nt2_s = {spin.t2}\n"
+            f"spectral_width_hz = {acq.spectral_width}\nn_points = 1024\nepsilon = {epsilon}\n"
+        )
+        partial = tmp_path / "partial.cfg"
+        partial.write_text("n_points = 1024\n")
+        out_dir = tmp_path / "out"  # shared, so stdout names the same directory
+        outs = []
+        for path in (spelled, partial):
+            code, stdout, _ = run_cli(capsys, "pulse", "--config", str(path), "--out", str(out_dir))
+            assert code == EXIT_OK
+            names = ("ref.csv", "f00.csv", "f01.csv", "f10.csv", "f11.csv", "summary.json")
+            outs.append((stdout, [(out_dir / name).read_bytes() for name in names]))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "MIN_DOUBLET_SIGNAL is compared with line integrals c_k*sw/2, so the "
+        "smallest readable epsilon depends on the spectral width"))
+    def test_tiny_purity_reads_at_every_spectral_width(self, capsys, tmp_path):
+        codes = {}
+        for width in (512, 4096):
+            path = tmp_path / f"sw{width}.cfg"
+            path.write_text(f"spectral_width_hz = {width}\nn_points = 1024\n")
+            codes[width] = run_cli(capsys, "pulse", "--config", str(path), "--epsilon", "1e-12",
+                                   "--out", str(tmp_path / f"out{width}"))[0]
+        assert codes == {512: EXIT_OK, 4096: EXIT_OK}
 
     def test_env_var_overrides_out_dir(self, capsys, tmp_path, fast_config, monkeypatch):
         env_dir = tmp_path / "env_out"

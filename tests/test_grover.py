@@ -16,7 +16,6 @@ from spinsearch.grover import (
     grover2_circuit,
     grover_general,
     grover_iterate,
-    grover_start,
     monte_carlo_evaluations,
     optimal_iterations,
     oracle_matrix,
@@ -126,6 +125,17 @@ def _reference_start(n_qubits):
     return psi
 
 
+def _popcount_signs(n_qubits):
+    """The diagonal of the sign frame D = diag((-1)^popcount(x))."""
+    bits = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1
+    return 1.0 - 2.0 * (bits.sum(axis=1) % 2)
+
+
+def _uniform_frame(n_qubits):
+    """Frame amplitudes D.s of the start state: the uniform 1/sqrt(N)."""
+    return np.full(2**n_qubits, 1 / math.sqrt(2**n_qubits))
+
+
 def _reference_iterate(n_qubits, marked, psi):
     """Marked sign flip, then the diffusion as the circuit builds it: h on
     every qubit, a |0...0> sign flip, h^-1 on every qubit."""
@@ -140,15 +150,18 @@ def _reference_iterate(n_qubits, marked, psi):
 
 
 def _assert_matches_reference(problem, iterations):
-    """grover_start, every grover_iterate step and grover_general equal the
-    gate-by-gate reference elementwise, global phase included."""
+    """The uniform frame start, every grover_iterate step and grover_general,
+    each mapped back by D, equal the gate-by-gate reference elementwise,
+    global phase included."""
     n_qubits = problem.n_qubits
+    signs = _popcount_signs(n_qubits)
     reference = _reference_start(n_qubits)
-    assert np.max(np.abs(grover_start(problem) - reference)) <= 1e-12
+    assert np.max(np.abs(signs * _uniform_frame(n_qubits) - reference)) <= 1e-12
     for _ in range(iterations):
-        step = grover_iterate(problem, reference)
+        assert not reference.imag.any()
+        step = grover_iterate(problem, signs * reference.real)
         reference = _reference_iterate(n_qubits, problem.marked, reference)
-        assert np.max(np.abs(step - reference)) <= 1e-12
+        assert np.max(np.abs(signs * step - reference)) <= 1e-12
     assert np.max(np.abs(grover_general(problem, iterations) - reference)) <= 1e-12
 
 
@@ -174,25 +187,43 @@ class TestReflectionMatchesCircuit:
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 5, 12])
     def test_start_entries_are_popcount_signs(self, n_qubits):
+        # zero iterates return the start state s = D.(1/sqrt(N)) itself
         size = 2**n_qubits
-        start = grover_start(SearchProblem(n_qubits, frozenset({0})))
-        assert start.dtype == complex
+        start = grover_general(SearchProblem(n_qubits, frozenset({0})), 0)
+        assert start.dtype == np.float64
         expected = [(-1) ** bin(x).count("1") / math.sqrt(size) for x in range(size)]
-        assert start.real.tolist() == expected
-        assert not start.imag.any()
+        assert start.tolist() == expected
+        assert (_popcount_signs(n_qubits) * _uniform_frame(n_qubits)).tolist() == expected
+        assert np.max(np.abs(_reference_start(n_qubits) - start)) <= 1e-12
 
     def test_iterate_leaves_input_unchanged(self):
         problem = SearchProblem(3, frozenset({5}))
-        psi = grover_start(problem)
-        before = psi.copy()
-        grover_iterate(problem, psi)
-        assert np.array_equal(psi, before)
+        phi = _uniform_frame(3)
+        before = phi.copy()
+        grover_iterate(problem, phi)
+        assert np.array_equal(phi, before)
+
+    def test_iterate_rejects_complex_state(self):
+        # a complex state is not frame amplitudes; its imaginary part must
+        # not be dropped silently
+        problem = SearchProblem(3, frozenset({5}))
+        for phi in (_uniform_frame(3).astype(complex), _uniform_frame(3) * 1j):
+            with pytest.raises(ValueError, match="real frame amplitudes"):
+                grover_iterate(problem, phi)
+
+    @pytest.mark.parametrize("n_qubits,iterations", [(1, 0), (3, 2), (10, 25)])
+    def test_general_returns_real_state(self, n_qubits, iterations):
+        problem = SearchProblem(n_qubits, frozenset({1}))
+        psi = grover_general(problem, iterations)
+        assert psi.dtype == np.float64
+        assert psi.shape == (2**n_qubits,)
+        assert np.sum(psi**2) == pytest.approx(1.0, abs=1e-12)
 
 
 def _dense_reflection_iterate(n_qubits, marked, iterations):
     """Independent oracle: dense 2|s><s| - I diffusion, explicit matrices."""
     size = 2**n_qubits
-    start = grover_start(SearchProblem(n_qubits, frozenset(marked)))
+    start = _reference_start(n_qubits)
     diffusion = 2.0 * np.outer(start, start.conj()) - np.eye(size)
     flip = np.ones(size)
     flip[list(marked)] = -1.0
@@ -234,13 +265,13 @@ class TestGeneralSearch:
         for k in sorted({1, size // 4, size // 2} - {0}):
             problem = SearchProblem(n_qubits, frozenset(range(k)))
             limit = 3 * optimal_iterations(problem)
-            psi = grover_start(problem)
+            phi = _uniform_frame(n_qubits)
             for m in range(limit + 1):
-                got = success_probability(problem, psi)
+                got = success_probability(problem, phi)
                 assert got == pytest.approx(
                     predicted_success_probability(size, k, m), abs=1e-10
                 )
-                psi = grover_iterate(problem, psi)
+                phi = grover_iterate(problem, phi)
 
     def test_matches_hadamard_built_diffusion(self):
         # same success probabilities when built from true Hadamards
