@@ -21,7 +21,7 @@ from .readout import (
     summary_document,
     synthesize_fid,
 )
-from .sequence import PropagatorTable, grover_program, run_sequence
+from .sequence import PropagatorTable, compile_oracle, grover_program, run_sequence
 from .spins import ErrorModel, IDEAL, SpinSystem, pseudo_pure_00
 
 
@@ -75,8 +75,10 @@ def run_experiments(
 
     The reference is a plain detection of |00><00|; its phase correction and
     line integrals calibrate all four experiment spectra.  All five
-    detections share one line basis, and the four pulse programs share one
-    propagator table, so each distinct pulse or delay is built once per set.
+    detections share one line basis.  Each label's oracle is compiled once,
+    the f00 oracle doubling as every program's |00> reflection, and the
+    four pulse programs share one propagator table, so each distinct pulse
+    or delay is built once per set.
     """
     lines = synthesize_fid(sys, acq)
     ref_spec = detect(sys, pseudo_pure_00(1.0), acq, lines)
@@ -84,11 +86,12 @@ def run_experiments(
     ref_result = classify(ref_spec, phase)
     ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
 
+    oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
     table = PropagatorTable(sys, err)
     runs = []
     for label in ALL_LABELS:
         rho0 = pseudo_pure_00(epsilon)
-        rho = run_sequence(sys, grover_program(label, sys), rho0, err, table)
+        rho = run_sequence(sys, grover_program(label, oracles), rho0, err, table)
         spec = detect(sys, rho, acq, lines)
         result = classify(spec, phase, ref_integrals)
         target = basis_state(2, label.index)

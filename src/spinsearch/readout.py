@@ -1,16 +1,19 @@
-"""Simulated NMR detection: gradient crush + observe pulse, FID synthesis,
-Fourier transform, reference phasing, line integration and qubit readout.
+"""Simulated NMR detection: gradient crush + observe pulse, the spectrum of
+the FID, reference phasing, line integration and qubit readout.
 
 The detected signal is s(t) = Tr(rho(t) (I1+ + I2+)) * exp(-t/T2) under free
 evolution, sampled at dwell 1/spectral_width.  Each spin contributes a
 doublet at nu_i +/- J/2; after phasing against a reference, a positive
 absorption pair reads as qubit value 0 and a negative pair as 1.
 
-The signal is linear in rho and has four known lines, so the waveforms of
-those lines, the decay envelope and the frequency grid (the line basis, built
-by ``synthesize_fid``) depend only on the spin system and the acquisition.
-An experiment set builds the basis once; each detection is a 4-term sum, one
-decay multiply and one FFT, and reads each line's exact integral off its term.
+The signal is linear in rho and has four known lines, so its spectrum (the
+fftshifted DFT of the FID with its first point halved) is a combination of
+four line templates, each the closed-form DFT of one damped line.  The
+templates and the frequency grid (the line basis, built by
+``synthesize_fid``) depend only on the spin system and the acquisition.  An
+experiment set builds the basis once; each detection is a 4-term sum of
+templates, with no FID or FFT, and reads each line's exact integral off its
+coefficient.
 """
 
 from __future__ import annotations
@@ -122,51 +125,103 @@ class LineBasis:
     acquisition, shared by every detection of an experiment set.
 
     ``couplings`` lists the (i, j, O_ji) coherences the observable picks up,
-    in detection order; ``waves`` holds their undamped waveforms
-    exp(-i 2 pi (E_i - E_j) t), and ``decay`` the envelope exp(-t/T2).
-    ``line_couplings`` gives, for each line in ``line_centers`` order, the
-    index of its coherence in ``couplings``.  Every array is read-only.
+    in detection order; ``templates`` holds, in the same order, the
+    fftshifted spectrum of each coherence's damped line with unit
+    coefficient (see ``synthesize_fid``).  ``line_couplings`` gives, for each
+    line in ``line_centers`` order, the index of its coherence in
+    ``couplings``.  Every array is read-only.
     """
 
     system: SpinSystem
     acquisition: AcquisitionParams
     couplings: tuple[tuple[int, int, np.complex128], ...]
-    waves: tuple[np.ndarray, ...]
-    decay: np.ndarray
+    templates: tuple[np.ndarray, ...]
     freq_hz: np.ndarray
     line_couplings: tuple[int, ...]
 
 
 def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
-    """Build the line basis the detected FID of any rho is a combination of.
+    """Build the line basis the spectrum of any rho's FID is a combination of.
 
     The FID is linear in rho: each of the four observable coherences rho_ij
     evolves as exp(-i 2 pi (E_i - E_j) t), couples to O_ji and decays at
-    rate 1/T2.  Those waveforms and the frequency grid depend only on
-    (sys, acq), so an experiment set builds them once and each detection
-    only combines them.  Raises ValueError if the spectral width would alias
-    the doublets.
+    rate 1/T2, so sample n of its line is a**n with
+    a = exp((-i 2 pi (E_i - E_j) - 1/T2) * dwell).  With the first point
+    halved, the line's N-point DFT is T[m] = (1 - a**N) / (1 - a w**m) - 1/2,
+    w = exp(-i 2 pi / N), which ``_line_template`` evaluates without
+    cancellation for any T2.  The templates and the frequency grid depend
+    only on (sys, acq), so an experiment set builds them once and each
+    detection only combines them.  Raises ValueError if the spectral width
+    would alias the doublets.
     """
     limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
     if acq.spectral_width <= limit:
         raise ValueError(f"spectral width too small: lines would alias (need > {limit} Hz)")
-    t = np.arange(acq.n_points) * acq.dwell
+    n = acq.n_points
     levels = energies(sys)
     observe = OBSERVE_1 + OBSERVE_2
     rows, cols = np.nonzero(observe.T)
     couplings = tuple((int(i), int(j), observe[j, i]) for i, j in zip(rows, cols))
-    waves = []
-    for i, j, _ in couplings:
-        wave = -2j * math.pi * (levels[i] - levels[j]) * t
-        waves.append(_read_only(np.exp(wave, out=wave)))
-    decay = -t / sys.t2
-    np.exp(decay, out=decay)
-    freq = np.fft.fftshift(np.fft.fftfreq(acq.n_points, d=acq.dwell))
+    # grid = i exp(-i pi q / N) = sin(pi q / N) + i cos(pi q / N) on the
+    # fftshifted grid q = -N/2 .. N/2 - 1, filled by symmetry from
+    # sin(pi k / N), k = 0 .. N/2, with cos(pi q / N) = sin(pi (N/2 - |q|) / N)
+    half = n // 2
+    sines = np.sin(np.arange(half + 1) * (math.pi / n))
+    grid = np.empty(n, dtype=complex)
+    grid.real[half:] = sines[:half]
+    np.negative(sines[half:0:-1], out=grid.real[:half])
+    grid.imag[half:] = sines[half:0:-1]
+    grid.imag[:half] = sines[:half]
+    scratch = np.empty(n)  # reused by every template
+    # a rate below the smallest normal float leaves every exp(-n gamma) at
+    # 1.0, and raising it there keeps each template's denominator nonzero
+    gamma = max(acq.dwell / sys.t2, np.finfo(float).tiny)
+    templates = tuple(
+        _read_only(_line_template((levels[j] - levels[i]) * acq.dwell * n, gamma, grid, scratch))
+        for i, j, _ in couplings
+    )
+    freq = np.fft.fftshift(np.fft.fftfreq(n, d=acq.dwell))
     # coherence (i, j) sits at E_j - E_i; line_centers ascends in frequency too
     line_couplings = tuple(np.argsort([levels[j] - levels[i] for i, j, _ in couplings]).tolist())
-    return LineBasis(
-        sys, acq, couplings, tuple(waves), _read_only(decay), _read_only(freq), line_couplings
+    return LineBasis(sys, acq, couplings, templates, _read_only(freq), line_couplings)
+
+
+def _line_template(
+    position: float, gamma: float, grid: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The fftshifted DFT of the line a**n, n = 0 .. N-1, first point halved,
+    where a = exp(i 2 pi position / N - gamma) puts the line ``position``
+    bins from zero frequency and damps it by ``gamma`` per sample.
+
+    With theta = pi (q - position) / N at grid point q,
+    1 - a exp(-i 2 pi q / N) = -expm1(-gamma)
+                               + 2 exp(-gamma) sin(theta) (sin(theta) + i cos(theta)),
+    and 1 - a**N is the same with N gamma and theta = -pi delta, where
+    position = p + delta, p integer and |delta| <= 1/2.  ``grid`` holds
+    sin + i cos of pi q / N; rolling it by p and rotating it by pi delta / N
+    gives sin(theta) + i cos(theta) to the last bits next to the line, where
+    1 - a w**m would lose every digit once T2 is long.  ``scratch`` is a
+    float buffer of length N.
+    """
+    n = grid.size
+    p = round(position)
+    delta = position - p
+    shift = p % n
+    angle = math.pi * delta
+    sin_end = math.sin(-angle)
+    numerator = -math.expm1(-n * gamma) + 2 * math.exp(-n * gamma) * sin_end * complex(
+        sin_end, math.cos(angle)
     )
+    template = np.empty(n, dtype=complex)
+    rotation = complex(math.cos(angle / n), math.sin(angle / n))
+    np.multiply(grid[: n - shift], rotation, out=template[shift:])
+    np.multiply(grid[n - shift :], rotation, out=template[:shift])
+    np.multiply(template.real, 2 * math.exp(-gamma), out=scratch)
+    template *= scratch
+    template += -math.expm1(-gamma)
+    np.divide(numerator, template, out=template)
+    template -= 0.5
+    return template
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -177,15 +232,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def detect(
     sys: SpinSystem, rho: np.ndarray, acq: AcquisitionParams, lines: LineBasis | None = None
 ) -> Spectrum:
-    """Crush gradients, fire the observe pulse, transform the FID.
+    """Crush gradients, fire the observe pulse, return the FID's spectrum.
 
-    The FID is the 4-term combination of the line basis ``lines`` with
-    coefficients c = O_ji * rho_ij, times the decay envelope; without
-    ``lines`` the basis is built for this one detection.  The returned
-    spectrum shares the basis's read-only frequency grid.  Each peak's
-    integral is exactly c * spectral_width / 2, for any line offset, T2 and
-    grid.  Raises ValueError if the spectral width would alias the doublets or
-    ``lines`` was built for another system or acquisition.
+    The spectrum is the 4-term combination of the templates of the line
+    basis ``lines`` with coefficients c = O_ji * rho_ij; without ``lines``
+    the basis is built for this one detection.  The returned values are a
+    new array; the spectrum shares the basis's read-only frequency grid.
+    Each peak's integral is exactly c * spectral_width / 2, for any line
+    offset, T2 and grid.  Raises ValueError if the spectral width would alias
+    the doublets or ``lines`` was built for another system or acquisition.
     """
     if lines is None:
         lines = synthesize_fid(sys, acq)
@@ -195,15 +250,11 @@ def detect(
     u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
     rho = u_obs @ rho @ u_obs.conj().T
     coefficients = [o_ji * rho[i, j] for i, j, o_ji in lines.couplings]
-    fid = np.zeros(acq.n_points, dtype=complex)
-    for c, wave in zip(coefficients, lines.waves):
-        fid += c * wave
-    fid *= lines.decay
-    fid[0] *= 0.5  # half-first-point convention keeps the baseline flat
-    spectrum = np.fft.fft(fid)
-    del fid  # release the FID before fftshift copies the spectrum
-    values = np.fft.fftshift(spectrum)
-    # a line's DFT sums to N times its halved first point (N/2); a point weighs sw/N
+    values = np.multiply(lines.templates[0], coefficients[0])
+    for c, template in zip(coefficients[1:], lines.templates[1:]):
+        values += c * template
+    # a template sums to N times the line's halved first point (N/2), and a
+    # point weighs sw/N
     peaks = tuple(
         Peak(center, complex(coefficients[k] * acq.spectral_width / 2), spin)
         for (center, spin), k in zip(line_centers(sys), lines.line_couplings)

@@ -14,6 +14,7 @@ comments.  Round-trips bit-exactly through repr floats.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,11 +254,19 @@ def hadamard_pair(inverse: bool = False) -> PulseEvent:
     return pulse(TARGET_BOTH, 90.0, PHASE_DEG["-y" if inverse else "+y"])
 
 
-def grover_program(label: OracleLabel, sys: SpinSystem) -> PulseSequence:
+def grover_program(
+    label: OracleLabel, oracles: Mapping[OracleLabel, PulseSequence]
+) -> PulseSequence:
     """Full pulse program of the two-qubit search: inverse-h pair, compiled
-    oracle, h pair, compiled |00> reflection, inverse-h pair."""
-    u_fab = compile_oracle(label, sys)
-    u_00 = compile_oracle(OracleLabel(0, 0), sys)
+    oracle, h pair, compiled |00> reflection, inverse-h pair.
+
+    ``oracles`` maps labels to their ``compile_oracle`` sequences and must
+    hold ``label`` and f00, whose oracle is the |00> reflection; an
+    experiment set compiles each oracle once and builds all four programs
+    from them.
+    """
+    u_fab = oracles[label]
+    u_00 = oracles[OracleLabel(0, 0)]
     events = (
         (hadamard_pair(inverse=True),)
         + u_fab.events

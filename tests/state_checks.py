@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 from spinsearch.core import IDENTITY_2
+from spinsearch.grover import OracleLabel
+from spinsearch.sequence import PulseSequence, compile_oracle, grover_program, hadamard_pair
 
 NORM_TOL = 1e-12
 
@@ -125,3 +127,27 @@ def monte_carlo_by_draw(n: int, k: int, trials: int, rng: np.random.Generator) -
             break
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(np.mean(counts)), stderr
+
+
+def search_program(label: OracleLabel, sys) -> PulseSequence:
+    """The package's search program for ``label`` on ``sys``, assembled by
+    ``grover_program`` from freshly compiled oracles."""
+    oracles = {lab: compile_oracle(lab, sys) for lab in (label, OracleLabel(0, 0))}
+    return grover_program(label, oracles)
+
+
+def reference_grover_program(label: OracleLabel, sys) -> PulseSequence:
+    """The per-label build that compiles the label's oracle and the |00>
+    reflection afresh for each program: the reference for the programs that
+    ``run_experiments`` assembles from oracles compiled once per set."""
+    u_fab = compile_oracle(label, sys)
+    u_00 = compile_oracle(OracleLabel(0, 0), sys)
+    events = (
+        (hadamard_pair(inverse=True),)
+        + u_fab.events
+        + (hadamard_pair(),)
+        + u_00.events
+        + (hadamard_pair(inverse=True),)
+    )
+    notes = (f"two-qubit search program for {label.name}",) + u_fab.notes[1:]
+    return PulseSequence(events, notes)

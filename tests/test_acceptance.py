@@ -26,7 +26,7 @@ from spinsearch.grover import (
     success_probability,
 )
 from spinsearch.readout import AcquisitionParams, classify, detect, reference_phase
-from spinsearch.sequence import compile_oracle, grover_program, run_sequence, sequence_unitary
+from spinsearch.sequence import compile_oracle, run_sequence, sequence_unitary
 from spinsearch.spins import (
     ErrorModel,
     SpinSystem,
@@ -35,7 +35,12 @@ from spinsearch.spins import (
     ideal_pulse,
     pseudo_pure_00,
 )
-from state_checks import equal_up_to_global_phase, predicted_success_probability, state_00
+from state_checks import (
+    equal_up_to_global_phase,
+    predicted_success_probability,
+    search_program,
+    state_00,
+)
 
 
 def report(name):
@@ -103,7 +108,7 @@ def test_end_to_end_readout():
     ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
     for epsilon in (1.0, 0.2):
         for label in ALL_LABELS:
-            rho = run_sequence(sys_, grover_program(label, sys_), pseudo_pure_00(epsilon))
+            rho = run_sequence(sys_, search_program(label, sys_), pseudo_pure_00(epsilon))
             result = classify(detect(sys_, rho, acq), phase, ref_integrals)
             assert result.qubits == (label.a, label.b)
             for height, peak in zip(result.line_heights, result.peaks):
@@ -170,7 +175,7 @@ def test_physics_invariants():
         assert is_unitary(oracle_matrix(label), 1e-12)
         assert is_unitary(sequence_unitary(sys_, compile_oracle(label, sys_)), 1e-12)
     rho = pseudo_pure_00(0.7)
-    rho = run_sequence(sys_, grover_program(ALL_LABELS[2], sys_), rho)
+    rho = run_sequence(sys_, search_program(ALL_LABELS[2], sys_), rho)
     assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12
     assert abs(float(np.trace(rho).real) - 1.0) <= 1e-12
 
@@ -224,7 +229,7 @@ def test_error_model_property():
         fidelities = []
         for t_p in grid:
             rho = run_sequence(
-                sys_, grover_program(label, sys_), pseudo_pure_00(1.0),
+                sys_, search_program(label, sys_), pseudo_pure_00(1.0),
                 ErrorModel("soft-pulse", float(t_p)),
             )
             fidelities.append(fidelity(target, rho))
@@ -240,6 +245,6 @@ def test_error_model_property():
     )
     err = ErrorModel("soft-pulse", 1e-6)
     for label in ALL_LABELS:
-        rho = run_sequence(sys_, grover_program(label, sys_), pseudo_pure_00(1.0), err)
+        rho = run_sequence(sys_, search_program(label, sys_), pseudo_pure_00(1.0), err)
         result = classify(detect(sys_, rho, acq), phase, ref_integrals)
         assert result.qubits == (label.a, label.b)

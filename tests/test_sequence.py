@@ -27,7 +27,6 @@ from spinsearch.sequence import (
     event_operator,
     format_sequence,
     gradient,
-    grover_program,
     parse_sequence,
     pulse,
     run_sequence,
@@ -40,7 +39,12 @@ from spinsearch.spins import (
     gradient_crush,
     pseudo_pure_00,
 )
-from state_checks import equal_up_to_global_phase, state_00
+from state_checks import (
+    equal_up_to_global_phase,
+    reference_grover_program,
+    search_program,
+    state_00,
+)
 
 offsets = st.floats(-400, 400, allow_nan=False)
 
@@ -303,18 +307,18 @@ class TestRunSequence:
     @pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
     def test_full_program_reproduces_gate_level(self, label):
         sys = SpinSystem()
-        rho = run_sequence(sys, grover_program(label, sys), pseudo_pure_00(1.0))
+        rho = run_sequence(sys, search_program(label, sys), pseudo_pure_00(1.0))
         assert fidelity(grover2_circuit(label), rho) >= 1 - 1e-9
 
     def test_f10_program_explicit(self):
         sys = SpinSystem()
-        rho = run_sequence(sys, grover_program(OracleLabel(1, 0), sys), pseudo_pure_00(1.0))
+        rho = run_sequence(sys, search_program(OracleLabel(1, 0), sys), pseudo_pure_00(1.0))
         assert fidelity(basis_state(2, 2), rho) >= 1 - 1e-9
 
     def test_half_purity_diagonal(self):
         sys = SpinSystem()
         label = OracleLabel(1, 0)
-        rho = run_sequence(sys, grover_program(label, sys), pseudo_pure_00(0.5))
+        rho = run_sequence(sys, search_program(label, sys), pseudo_pure_00(0.5))
         expected = np.full(4, (1 - 0.5) / 4)
         expected[label.index] += 0.5
         assert np.allclose(np.diag(rho).real, expected, atol=1e-12)
@@ -323,7 +327,7 @@ class TestRunSequence:
     def test_linear_in_purity(self, eps):
         sys = SpinSystem()
         label = OracleLabel(0, 1)
-        program = grover_program(label, sys)
+        program = search_program(label, sys)
         diag_full = np.diag(run_sequence(sys, program, pseudo_pure_00(1.0))).real
         diag_eps = np.diag(run_sequence(sys, program, pseudo_pure_00(eps))).real
         predicted = (1 - eps) * np.full(4, 0.25) + eps * diag_full
@@ -416,7 +420,7 @@ class TestPropagatorFold:
             return original(sys, ev, err)
 
         monkeypatch.setattr(sequence, "event_operator", counting)
-        program = grover_program(OracleLabel(1, 0), FOLD_SYSTEM)
+        program = search_program(OracleLabel(1, 0), FOLD_SYSTEM)
         run_sequence(FOLD_SYSTEM, program, pseudo_pure_00(1.0), ErrorModel("soft-pulse", 1e-4))
         assert len(built) == len(set(built)) == len(set(program.events)) < len(program)
 
@@ -459,7 +463,7 @@ class TestPropagatorTable:
                 run_experiments(sys, AcquisitionParams(), eps, err)
         assume(runs)
         for label, rho in zip(ALL_LABELS, runs):
-            want = run_sequence(sys, grover_program(label, sys), pseudo_pure_00(eps), err)
+            want = run_sequence(sys, reference_grover_program(label, sys), pseudo_pure_00(eps), err)
             assert np.array_equal(rho, want)
 
     def test_set_builds_each_distinct_event_once(self, monkeypatch):
@@ -472,9 +476,33 @@ class TestPropagatorTable:
 
         monkeypatch.setattr(sequence, "event_operator", counting)
         run_experiments(FOLD_SYSTEM, AcquisitionParams(), 1.0, SOFT)
-        programs = [grover_program(label, FOLD_SYSTEM).events for label in ALL_LABELS]
+        programs = [reference_grover_program(label, FOLD_SYSTEM).events for label in ALL_LABELS]
         distinct = {ev for events in programs for ev in events}
         assert len(built) == len(set(built)) == len(distinct) < len(programs[0])
+
+    @pytest.mark.parametrize("err", [IDEAL, SOFT], ids=["ideal", "soft"])
+    def test_set_compiles_each_oracle_once(self, monkeypatch, err):
+        compiled, programs = [], []
+        original_compile, original_run = sequence.compile_oracle, experiment.run_sequence
+
+        def counting(label, sys):
+            compiled.append(label)
+            return original_compile(label, sys)
+
+        def recording(sys, seq, *args):
+            programs.append(seq)
+            return original_run(sys, seq, *args)
+
+        for module in (sequence, experiment):
+            monkeypatch.setattr(module, "compile_oracle", counting)
+        monkeypatch.setattr(experiment, "run_sequence", recording)
+        run_experiments(FOLD_SYSTEM, AcquisitionParams(), 1.0, err)
+        # the f00 oracle is also every program's |00> reflection, so the
+        # four labels are all the distinct oracles of a set
+        assert len(compiled) == len(set(compiled)) == len(ALL_LABELS)
+        assert len(programs) == len(ALL_LABELS)
+        for label, program in zip(ALL_LABELS, programs):
+            assert program == reference_grover_program(label, FOLD_SYSTEM)
 
     def test_foreign_table_rejected(self):
         table = PropagatorTable(FOLD_SYSTEM, SOFT)
@@ -531,9 +559,9 @@ class TestErrorModelExecution:
     def test_soft_model_changes_result(self):
         sys = SpinSystem()
         label = OracleLabel(0, 1)
-        ideal_rho = run_sequence(sys, grover_program(label, sys), pseudo_pure_00(1.0))
+        ideal_rho = run_sequence(sys, search_program(label, sys), pseudo_pure_00(1.0))
         soft_rho = run_sequence(
-            sys, grover_program(label, sys), pseudo_pure_00(1.0), ErrorModel("soft-pulse", 1e-3)
+            sys, search_program(label, sys), pseudo_pure_00(1.0), ErrorModel("soft-pulse", 1e-3)
         )
         assert np.max(np.abs(ideal_rho - soft_rho)) > 1e-3
 
@@ -561,7 +589,7 @@ class TestErrorModelExecution:
         fids = []
         for tp in np.geomspace(1e-6, 5e-4, 5):
             rho = run_sequence(
-                sys, grover_program(label, sys), pseudo_pure_00(1.0),
+                sys, search_program(label, sys), pseudo_pure_00(1.0),
                 ErrorModel("soft-pulse", float(tp)),
             )
             fids.append(fidelity(target, rho))
