@@ -162,6 +162,9 @@ def _search_row(n_qubits: int, k: int, m: int | None, seed: int | None, trials: 
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    # checked with or without --seed: one trial has no standard error
+    if args.trials < 2:
+        raise ValueError(f"--trials must be at least 2, got {args.trials}")
     if args.scan:
         for n_qubits in range(2, args.n + 1):
             size = 2**n_qubits

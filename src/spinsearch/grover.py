@@ -16,6 +16,7 @@ pseudo-Hadamard h = Ry(90 deg) = (1/sqrt(2)) [[1, -1], [1, 1]] and h maps
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,17 @@ ALL_LABELS = tuple(OracleLabel.from_name(n) for n in ORACLE_LABELS)
 
 @dataclass(frozen=True, eq=False)
 class SearchProblem:
-    """Search over N = 2**n_qubits items.  ``marked`` takes any iterable of
-    distinct integers in [0, N) and is held as a sorted, read-only intp
-    array, so equality and hashing come from (n_qubits, marked bytes)."""
+    """Search over N = 2**n_qubits items.  ``marked`` takes an integer array
+    or any iterable of distinct integers in [0, N) and is held as a sorted,
+    read-only intp array, so equality and hashing come from (n_qubits,
+    marked bytes).
+
+    Iterable elements pass through ``operator.index``, the rule ``n_qubits``
+    follows: np.int64 and Python bools are integers, while 1.5, "1", None,
+    np.float64 and np.bool_ are not.  An iterable is read in one typed pass
+    (``array("q")``), and the indices are scattered into a boolean mask of
+    N entries, whose nonzero positions are the sorted set: O(N), no sort.
+    The mask is not kept."""
 
     n_qubits: int
     marked: np.ndarray
@@ -75,12 +84,31 @@ class SearchProblem:
         n_qubits = as_integer("n_qubits", self.n_qubits)
         if not 1 <= n_qubits <= 20:
             raise ValueError("n_qubits must be between 1 and 20 (desk scale)")
-        marked = np.asarray(self.marked if isinstance(self.marked, np.ndarray) else list(self.marked))
-        if marked.ndim != 1 or marked.size == 0 or marked.dtype.kind not in "iu":
-            raise ValueError("marked indices must be one or more integers (k >= 1)")
-        marked = np.sort(marked.astype(np.intp, copy=False))  # uint64 >= 2**63 turns negative
-        if marked[0] < 0 or marked[-1] >= 2**n_qubits or np.any(marked[1:] == marked[:-1]):
-            raise ValueError(f"marked indices must be distinct and in [0, {2**n_qubits})")
+        size = 2**n_qubits
+        not_integers = "marked indices must be one or more integers (k >= 1)"
+        out_of_range = f"marked indices must be distinct and in [0, {size})"
+        marked = self.marked
+        if isinstance(marked, np.ndarray):
+            if marked.ndim != 1 or marked.dtype.kind not in "iu":
+                raise ValueError(not_integers)
+        else:
+            # tuple() first: array("q", b"...") would read bytes as raw words
+            try:
+                marked = np.frombuffer(array("q", tuple(marked)), dtype=np.int64)
+            except TypeError:
+                raise ValueError(not_integers) from None
+            except OverflowError:  # an index of 2**63 or more
+                raise ValueError(out_of_range) from None
+        if marked.size == 0:
+            raise ValueError(not_integers)
+        # checked before the scatter, which would wrap a negative index
+        if marked.min() < 0 or marked.max() >= size:
+            raise ValueError(out_of_range)
+        mask = np.zeros(size, dtype=bool)
+        mask[marked] = True
+        if np.count_nonzero(mask) != marked.size:
+            raise ValueError(out_of_range)
+        marked = mask.nonzero()[0]
         marked.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "marked", marked)

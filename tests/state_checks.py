@@ -113,6 +113,19 @@ def predicted_success_probability(n: int, k: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+def reference_marked(n_qubits: int, marked) -> np.ndarray:
+    """The marked set built by numpy's dtype inference over the elements and
+    a sort: the reference for ``SearchProblem``'s typed conversion and
+    scatter mask.  Unlike the package, it rejects Python bools."""
+    marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
+    if marked.ndim != 1 or marked.size == 0 or marked.dtype.kind not in "iu":
+        raise ValueError("marked indices must be one or more integers (k >= 1)")
+    marked = np.sort(marked.astype(np.intp, copy=False))  # uint64 >= 2**63 turns negative
+    if marked[0] < 0 or marked[-1] >= 2**n_qubits or np.any(marked[1:] == marked[:-1]):
+        raise ValueError(f"marked indices must be distinct and in [0, {2**n_qubits})")
+    return marked
+
+
 def monte_carlo_by_draw(n: int, k: int, trials: int, rng: np.random.Generator) -> tuple[float, float]:
     """Sampling without replacement drawn draw by draw, one uniform per trial
     per draw: the reference for ``grover.monte_carlo_evaluations``.  With no

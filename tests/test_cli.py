@@ -98,6 +98,28 @@ class TestSearchCommand:
         assert "trials" in err
         assert "nan" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--trials", "-5"),
+            ("--trials", "1"),
+            ("--seed", "1", "--trials", "1"),
+            ("--scan", "--trials", "0"),
+            ("--scan", "--seed", "1", "--trials", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_fewer_than_two_trials_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "search", "--n", "3", *argv)
+        assert code == EXIT_USAGE
+        assert "--trials must be at least 2" in err
+        assert out == ""
+
+    def test_two_trials_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--n", "3", "--seed", "1", "--trials", "2")
+        assert code == EXIT_OK
+        assert "monte_carlo=" in out
+
     def test_k_larger_than_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "search", "--n", "2", "--k", "5")
         assert code == EXIT_USAGE

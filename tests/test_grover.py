@@ -29,6 +29,7 @@ from state_checks import (
     global_phase_factor,
     monte_carlo_by_draw,
     predicted_success_probability,
+    reference_marked,
     ry,
 )
 
@@ -353,6 +354,42 @@ class TestGeneralSearch:
         assert problem.marked.tolist() == [1, 5]
 
 
+def _marked_forms(marked, rng):
+    """The same marked set as every input form ``SearchProblem`` takes."""
+    forms = [
+        set(marked),
+        frozenset(marked),
+        tuple(marked),
+        list(marked),
+        (index for index in marked),
+        tuple(np.int64(index) for index in marked),
+        rng.permutation(marked).astype(np.int32),
+        rng.permutation(marked).astype(np.int64),
+        rng.permutation(marked).astype(np.uint64),
+    ]
+    if max(marked) < 256:
+        forms.append(bytes(marked))  # an iterable of ints, not raw machine words
+    return forms
+
+
+def _assert_same_as_reference(n_qubits, marked, rng):
+    expected = reference_marked(n_qubits, list(marked))
+    problems = []
+    for form in _marked_forms(marked, rng):
+        problem = SearchProblem(n_qubits, form)
+        assert problem.marked.dtype == np.intp
+        assert np.array_equal(problem.marked, expected)
+        assert problem.k == len(marked)
+        assert not problem.marked.flags.writeable
+        with pytest.raises(ValueError):
+            problem.marked[0] = 0
+        if isinstance(form, np.ndarray):
+            assert not np.shares_memory(problem.marked, form)
+        problems.append(problem)
+    assert all(p == problems[0] for p in problems)
+    assert len({hash(p) for p in problems}) == 1
+
+
 class TestMarkedArray:
     @given(st.integers(1, 12), st.data())
     def test_every_input_form_gives_the_same_problem(self, n_qubits, data):
@@ -360,27 +397,54 @@ class TestMarkedArray:
         k = data.draw(st.integers(1, size), label="k")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         marked = rng.choice(size, size=k, replace=False).tolist()
-        forms = [
-            set(marked),
-            tuple(marked),
-            list(marked),
-            rng.permutation(marked).astype(np.int32),
-            rng.permutation(marked).astype(np.int64),
-        ]
-        problems = [SearchProblem(n_qubits, form) for form in forms]
-        assert all(p == problems[0] for p in problems)
-        assert len({hash(p) for p in problems}) == 1
-        for p in problems:
-            assert p.marked.dtype == np.intp
-            assert p.marked.tolist() == sorted(marked)
-            assert p.k == len(marked)
-            assert not p.marked.flags.writeable
-            with pytest.raises(ValueError):
-                p.marked[0] = 0
+        _assert_same_as_reference(n_qubits, marked, rng)
         repeated = marked + [marked[data.draw(st.integers(0, k - 1), label="repeat")]]
         for form in (tuple, list, lambda m: np.array(m, np.int32), np.array):
             with pytest.raises(ValueError, match="distinct"):
                 SearchProblem(n_qubits, form(repeated))
+
+    def test_half_of_twenty_qubits_marked(self):
+        rng = np.random.default_rng(20)
+        marked = rng.choice(2**20, size=2**19, replace=False).tolist()
+        _assert_same_as_reference(20, marked, rng)
+
+    # one bad element after 2**16 - 1 good ones, so a check that only looks
+    # at the first few elements, or a scatter that wraps -1, lets it through
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (1.5, "integers"),
+            (np.float64(2.0), "integers"),
+            ("1", "integers"),
+            (None, "integers"),
+            (np.True_, "integers"),
+            (-1, "distinct and in"),
+            (2**16, "distinct and in"),
+            (2**63, "distinct and in"),
+            (2**70, "distinct and in"),
+            (np.uint64(2**63), "distinct and in"),
+            (0, "distinct"),
+        ],
+        ids=repr,
+    )
+    def test_bad_last_element_of_a_large_set_rejected(self, bad, message):
+        marked = tuple(range(2**16 - 1)) + (bad,)
+        with pytest.raises(ValueError, match=message):
+            SearchProblem(16, marked)
+
+    def test_python_bools_are_integers(self):
+        # elements follow operator.index, as n_qubits does: True is 1
+        assert SearchProblem(2, {True}) == SearchProblem(2, {1})
+        assert SearchProblem(2, (True, 2)).marked.tolist() == [1, 2]
+        with pytest.raises(ValueError, match="distinct"):
+            SearchProblem(2, [True, 1])
+
+    @pytest.mark.parametrize(
+        "marked", [(np.True_,), (np.False_, 1), np.array([True, False])], ids=repr
+    )
+    def test_numpy_bools_rejected(self, marked):
+        with pytest.raises(ValueError, match="integers"):
+            SearchProblem(2, marked)
 
 
 class TestOptimalIterations:
