@@ -79,7 +79,11 @@ def parse_config_file(path: str) -> dict[str, float]:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = float(value.strip())
+            value = value.strip()
+            try:
+                values[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be a number, got {value!r}") from None
     return values
 
 
@@ -93,7 +97,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         acq_fields["n_points"] = int(acq_fields["n_points"])
     acq = AcquisitionParams(**acq_fields)
     epsilon = args.epsilon if args.epsilon is not None else raw.get("epsilon")
-    err = ErrorModel("soft-pulse", args.error_tp) if args.error_tp else IDEAL
+    err = ErrorModel("soft-pulse", args.error_tp) if args.error_tp is not None else IDEAL
     out_dir = os.environ.get("SPINSEARCH_OUT", args.out)
     return RunConfig(spin, acq, epsilon, err, out_dir)
 

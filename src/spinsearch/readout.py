@@ -38,6 +38,11 @@ OBSERVE_2 = np.kron(IDENTITY_2, RAISING)
 MIN_REFERENCE_MAGNITUDE = 1e-10
 MIN_DOUBLET_SIGNAL = 1e-10
 
+# detect combines the templates this many points at a time: four template
+# stripes, the output stripe and one scratch stripe of complex values come to
+# 6 x 256 KiB = 1.5 MiB, inside a 2 MiB per-core L2 cache
+_STRIPE = 16384
+
 
 class AmbiguousReadoutError(RuntimeError):
     """Raised when line signs within a spin's doublet disagree or the
@@ -180,7 +185,8 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
         _read_only(_line_template((levels[j] - levels[i]) * acq.dwell * n, gamma, grid, scratch))
         for i, j, _ in couplings
     )
-    freq = np.fft.fftshift(np.fft.fftfreq(n, d=acq.dwell))
+    # fftshift(fftfreq(n, dwell)) in one step: the same integers times 1/(n dwell)
+    freq = np.arange(-half, half) * (1.0 / (n * acq.dwell))
     # coherence (i, j) sits at E_j - E_i; line_centers ascends in frequency too
     line_couplings = tuple(np.argsort([levels[j] - levels[i] for i, j, _ in couplings]).tolist())
     return LineBasis(sys, acq, couplings, templates, _read_only(freq), line_couplings)
@@ -236,8 +242,11 @@ def detect(
 
     The spectrum is the 4-term combination of the templates of the line
     basis ``lines`` with coefficients c = O_ji * rho_ij; without ``lines``
-    the basis is built for this one detection.  The returned values are a
-    new array; the spectrum shares the basis's read-only frequency grid.
+    the basis is built for this one detection.  The combination runs in
+    ``_STRIPE``-point stripes that stay in cache, with one scratch stripe
+    and no full-size temporaries; its values are bit-identical to the
+    whole-array sum of the products c * template.  The returned values are
+    a new array; the spectrum shares the basis's read-only frequency grid.
     Each peak's integral is exactly c * spectral_width / 2, for any line
     offset, T2 and grid.  Raises ValueError if the spectral width would alias
     the doublets or ``lines`` was built for another system or acquisition.
@@ -250,9 +259,17 @@ def detect(
     u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
     rho = u_obs @ rho @ u_obs.conj().T
     coefficients = [o_ji * rho[i, j] for i, j, o_ji in lines.couplings]
-    values = np.multiply(lines.templates[0], coefficients[0])
-    for c, template in zip(coefficients[1:], lines.templates[1:]):
-        values += c * template
+    values = np.empty(acq.n_points, dtype=complex)
+    scratch = np.empty(min(acq.n_points, _STRIPE), dtype=complex)
+    for start in range(0, acq.n_points, _STRIPE):
+        stripe = slice(start, start + _STRIPE)
+        out = values[stripe]
+        np.multiply(lines.templates[0][stripe], coefficients[0], out=out)
+        for c, template in zip(coefficients[1:], lines.templates[1:]):
+            # the coefficient first, as in c * template: the operand order
+            # changes the last bits of numpy's complex product
+            np.multiply(c, template[stripe], out=scratch)
+            out += scratch
     # a template sums to N times the line's halved first point (N/2), and a
     # point weighs sw/N
     peaks = tuple(

@@ -340,6 +340,24 @@ class TestPulseCommand:
         assert code == EXIT_USAGE
         assert "t_p must be finite" in err
 
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0", "-1.5"])
+    def test_non_positive_pulse_duration_is_usage_error(self, capsys, tmp_path, fast_config, value):
+        code, out, err = run_cli(capsys, "pulse", "--config", fast_config, "--error-tp", value,
+                                 "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "soft-pulse mode requires t_p > 0" in err
+        assert out == ""
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("n_points", "abc"), ("j_hz", "7 Hz"), ("t2_s", "")])
+    def test_non_numeric_config_value_quotes_its_line(self, capsys, tmp_path, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# comment\nnu1_hz = 80\n{key} = {value}\n")
+        code, _, err = run_cli(capsys, "pulse", "--config", str(bad), "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert f"{bad}:3: {key} must be a number, got {value!r}" in err
+        assert not (tmp_path / "summary.json").exists()
+
     @pytest.mark.parametrize("value", ["4096.7", "1024.5", "inf"])
     def test_fractional_n_points_is_usage_error(self, capsys, tmp_path, value):
         bad = tmp_path / "bad.cfg"

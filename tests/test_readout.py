@@ -144,6 +144,18 @@ def _reference_exact_detect(sys, rho, acq):
     return Spectrum(spec.freq_hz, spec.values, peaks)
 
 
+def _reference_combination(lines, rho, acq):
+    """detect's values as whole-array products (what the stripe loop
+    replaced): T0 * c0, then c * T added for each other template, with
+    c = O_ji * rho_ij after the crush and the observe pulse."""
+    rho = _observed(rho, acq)
+    coefficients = [o_ji * rho[i, j] for i, j, o_ji in lines.couplings]
+    values = np.multiply(lines.templates[0], coefficients[0])
+    for c, template in zip(coefficients[1:], lines.templates[1:]):
+        values += c * template
+    return values
+
+
 def _reference_write_summary_json(path, documents):
     """The json.dump export that write_summary_json must match byte for byte."""
     with open(path, "w") as fh:
@@ -377,6 +389,27 @@ class TestLineBasis:
             assert run.result == result
             assert run.fidelity == fid
 
+    @given(detection_inputs())
+    def test_stripes_equal_whole_array_combination(self, inputs):
+        sys, acq, rho = inputs
+        lines = synthesize_fid(sys, acq)
+        assert np.array_equal(detect(sys, rho, acq, lines).values,
+                              _reference_combination(lines, rho, acq))
+
+    @pytest.mark.parametrize("n_points", [16384, 32768, 131072], ids=["1", "2", "8"])
+    def test_stripes_equal_whole_array_combination_at_high_resolution(self, n_points):
+        # 1, 2 and 8 stripes; two detections in a row, so a stripe left
+        # unwritten cannot hold the right values by chance
+        sys = SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0)
+        acq = AcquisitionParams(spectral_width=1024.0, n_points=n_points, observe_phase=37.0)
+        lines = synthesize_fid(sys, acq)
+        rng = np.random.default_rng(n_points)
+        for _ in range(2):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = (a + a.conj().T) / (2 * np.trace(a).real)
+            assert np.array_equal(detect(sys, rho, acq, lines).values,
+                                  _reference_combination(lines, rho, acq))
+
     def test_basis_for_equal_configuration_is_accepted(self):
         lines = synthesize_fid(SpinSystem(), AcquisitionParams())
         _assert_identical_spectra(detect(SYS, state_00(), ACQ, lines), detect(SYS, state_00(), ACQ))
@@ -422,6 +455,15 @@ class TestLineBasis:
         assert all(spec.freq_hz is spectra[0].freq_hz for spec in spectra)
         with pytest.raises(ValueError):
             spectra[0].freq_hz[0] = 0.0
+
+
+class TestFrequencyGrid:
+    @pytest.mark.parametrize("n_points", [2**k for k in range(10, 18)])
+    @pytest.mark.parametrize("spectral_width", [512.0, 600.0, 1024.0, 3000.7])
+    def test_grid_equals_shifted_fftfreq(self, n_points, spectral_width):
+        acq = AcquisitionParams(spectral_width=spectral_width, n_points=n_points)
+        reference = np.fft.fftshift(np.fft.fftfreq(n_points, d=acq.dwell))
+        assert np.array_equal(synthesize_fid(SYS, acq).freq_hz, reference)
 
 
 class TestLineTemplates:
