@@ -16,6 +16,9 @@ from .grover import (
 )
 from .readout import AcquisitionParams, Spectrum, classify, detect, reference_phase
 from .sequence import (
+    Delay,
+    Gradient,
+    Pulse,
     PulseEvent,
     PulseSequence,
     compile_oracle,
@@ -23,14 +26,16 @@ from .sequence import (
     parse_sequence,
     pulse_operator,
     run_sequence,
-    sequence_unitary,
 )
 from .spins import ErrorModel, SpinSystem, free_evolution, gradient_crush, pseudo_pure_00
 
 __all__ = [
     "AcquisitionParams",
+    "Delay",
     "ErrorModel",
+    "Gradient",
     "OracleLabel",
+    "Pulse",
     "PulseEvent",
     "PulseSequence",
     "SearchProblem",
@@ -57,7 +62,6 @@ __all__ = [
     "pulse_operator",
     "reference_phase",
     "run_sequence",
-    "sequence_unitary",
 ]
 
 __version__ = "0.1.0"

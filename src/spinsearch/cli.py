@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys as _sys
 from dataclasses import dataclass
 
@@ -103,6 +104,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.10 and 3.11 read a negative number only as digits with an
+        # optional fraction, so "--error-tp -1e-4" took "-1e-4" for an option;
+        # accept an exponent too, so such a value reaches the package's checks.
+        # Sub-parsers are built from this class and inherit the pattern.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on usage errors; this CLI reserves 2 for
     # classification failures, so remap usage errors to exit code 1.
     def error(self, message):

@@ -32,10 +32,6 @@ from .spins import (
     soft_pulse,
 )
 
-PULSE = "pulse"
-DELAY = "delay"
-GRADIENT = "grad"
-
 # Pulse phase convention: +x=0, +y=90, -x=180, -y=270 degrees.
 PHASE_DEG = {"+x": 0.0, "+y": 90.0, "-x": 180.0, "-y": 270.0}
 
@@ -44,52 +40,28 @@ _TARGET_WORDS = {"1": 1, "2": 2, TARGET_BOTH: TARGET_BOTH}
 
 
 @dataclass(frozen=True)
-class PulseEvent:
-    """One sequence event: an RF pulse, a free-evolution delay, or a
-    gradient crusher.
-
-    Pulses carry a target (1, 2 or 'both'), flip angle and phase in degrees,
-    and an optional soft duration; ``soft_tp`` forces the finite-duration
-    propagator for this event regardless of the run's error model.  Delays
-    carry only a duration, gradients nothing.  Events that cannot run (a
-    non-finite number, SOFT on a pulse to both spins) or that set a field
-    their kind ignores are rejected here rather than when run, so every
-    accepted event survives the wire format unchanged.
+class Pulse:
+    """An RF pulse: target (1, 2 or 'both'), flip angle and phase in degrees,
+    and an optional soft duration.  ``soft_tp`` forces the finite-duration
+    propagator for this pulse regardless of the run's error model.  A pulse
+    that cannot run (a non-finite number, SOFT on a pulse to both spins) is
+    rejected here rather than when run, so every accepted pulse survives the
+    wire format unchanged.
     """
 
-    kind: str
-    target: int | str | None = None
-    angle_deg: float = 0.0
-    phase_deg: float = 0.0
-    duration: float = 0.0
+    target: int | str
+    angle_deg: float
+    phase_deg: float
     soft_tp: float | None = None
 
     def __post_init__(self) -> None:
-        kind = self.kind
-        if kind == PULSE:
-            # the target must also print as the word the parser reads back,
-            # which rules out True and 1.0
-            word = str(self.target)
-            if word not in _TARGET_WORDS or _TARGET_WORDS[word] != self.target:
-                raise ValueError(f"unknown pulse target {self.target!r}")
-            if self.duration:
-                raise ValueError(f"{kind} events take no duration")
-        elif kind == DELAY or kind == GRADIENT:
-            if (self.target is not None or self.angle_deg or self.phase_deg
-                    or self.soft_tp is not None):
-                raise ValueError(f"{kind} events take no target, angle, phase or SOFT duration")
-            if kind == GRADIENT and self.duration:
-                raise ValueError(f"{kind} events take no duration")
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
-        if not (
-            math.isfinite(self.angle_deg)
-            and math.isfinite(self.phase_deg)
-            and math.isfinite(self.duration)
-        ):
-            raise ValueError("angle_deg, phase_deg and duration must be finite")
-        if kind == DELAY and self.duration < 0:
-            raise ValueError("delay duration must be >= 0")
+        # the target must also print as the word the parser reads back,
+        # which rules out True and 1.0
+        word = str(self.target)
+        if word not in _TARGET_WORDS or _TARGET_WORDS[word] != self.target:
+            raise ValueError(f"unknown pulse target {self.target!r}")
+        if not (math.isfinite(self.angle_deg) and math.isfinite(self.phase_deg)):
+            raise ValueError("angle_deg and phase_deg must be finite")
         if self.soft_tp is not None:
             if not (math.isfinite(self.soft_tp) and self.soft_tp > 0):
                 raise ValueError("SOFT duration must be positive and finite")
@@ -97,17 +69,23 @@ class PulseEvent:
                 raise ValueError("SOFT pulses address a single spin")
 
 
-def pulse(target, angle_deg, phase_deg, soft_tp=None) -> PulseEvent:
-    return PulseEvent(PULSE, target=target, angle_deg=float(angle_deg),
-                      phase_deg=float(phase_deg), soft_tp=soft_tp)
+@dataclass(frozen=True)
+class Delay:
+    """Free evolution for ``duration`` seconds, finite and >= 0."""
+
+    duration: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError("delay duration must be finite and >= 0")
 
 
-def delay(duration) -> PulseEvent:
-    return PulseEvent(DELAY, duration=float(duration))
+@dataclass(frozen=True)
+class Gradient:
+    """A gradient crusher: zeroes every nonzero coherence order."""
 
 
-def gradient() -> PulseEvent:
-    return PulseEvent(GRADIENT)
+PulseEvent = Pulse | Delay | Gradient
 
 
 @dataclass(frozen=True)
@@ -134,15 +112,17 @@ def format_sequence(seq: PulseSequence | list[PulseEvent]) -> str:
     """Serialize to the line-based text format."""
     lines = [f"# {note}" for note in getattr(seq, "notes", ())]
     for ev in seq:
-        if ev.kind == PULSE:
+        if isinstance(ev, Pulse):
             line = f"PULSE {ev.target} {float(ev.angle_deg)!r} {float(ev.phase_deg)!r}"
             if ev.soft_tp is not None:
                 line += f" SOFT {float(ev.soft_tp)!r}"
             lines.append(line)
-        elif ev.kind == DELAY:
+        elif isinstance(ev, Delay):
             lines.append(f"DELAY {float(ev.duration)!r}")
-        else:
+        elif isinstance(ev, Gradient):
             lines.append("GRAD")
+        else:
+            raise TypeError(f"not a pulse event: {ev!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -162,22 +142,22 @@ def parse_sequence(text: str) -> PulseSequence:
         if word == "PULSE":
             if len(parts) not in (4, 6):
                 raise ValueError(f"malformed PULSE line: {raw!r}")
-            # an unknown target word stays a string, which PulseEvent rejects
+            # an unknown target word stays a string, which Pulse rejects
             target = _TARGET_WORDS.get(parts[1], parts[1])
             soft_tp = None
             if len(parts) == 6:
                 if parts[4].upper() != "SOFT":
                     raise ValueError(f"malformed PULSE line: {raw!r}")
                 soft_tp = float(parts[5])
-            events.append(pulse(target, float(parts[2]), float(parts[3]), soft_tp))
+            events.append(Pulse(target, float(parts[2]), float(parts[3]), soft_tp))
         elif word == "DELAY":
             if len(parts) != 2:
                 raise ValueError(f"malformed DELAY line: {raw!r}")
-            events.append(delay(float(parts[1])))
+            events.append(Delay(float(parts[1])))
         elif word == "GRAD":
             if len(parts) != 1:
                 raise ValueError(f"malformed GRAD line: {raw!r}")
-            events.append(gradient())
+            events.append(Gradient())
         else:
             raise ValueError(f"unknown event {parts[0]!r}")
     return PulseSequence(tuple(events), tuple(notes))
@@ -187,17 +167,16 @@ def parse_sequence(text: str) -> PulseSequence:
 # label-dependent pulse phases of a compiled oracle are drawn from these.
 @dataclass(frozen=True)
 class PhaseTableEntry:
-    label: OracleLabel
     theta: str
     phi: str
     psi: str
 
 
 ORACLE_PHASE_TABLE = {
-    "f00": PhaseTableEntry(OracleLabel(0, 0), "+y", "+x", "-y"),
-    "f01": PhaseTableEntry(OracleLabel(0, 1), "+y", "-x", "+y"),
-    "f10": PhaseTableEntry(OracleLabel(1, 0), "-y", "-x", "-y"),
-    "f11": PhaseTableEntry(OracleLabel(1, 1), "-y", "+x", "+y"),
+    "f00": PhaseTableEntry("+y", "+x", "-y"),
+    "f01": PhaseTableEntry("+y", "-x", "+y"),
+    "f10": PhaseTableEntry("-y", "-x", "-y"),
+    "f11": PhaseTableEntry("-y", "+x", "+y"),
 }
 
 # Under this package's rotation and phase conventions the phase rows produce
@@ -226,19 +205,19 @@ def compile_oracle(label: OracleLabel, sys: SpinSystem) -> PulseSequence:
     tau = sys.tau
     events = (
         # composite z on spin 1: Rz(+90) for theta=+y, Rz(-90) for theta=-y
-        pulse(1, 90.0, PHASE_DEG["-x"]),
-        pulse(2, 90.0, PHASE_DEG["+x"]),
-        pulse(1, 90.0, theta),
-        pulse(2, 90.0, psi),
-        pulse(1, 90.0, PHASE_DEG["+x"]),
-        pulse(2, 90.0, PHASE_DEG["-x"]),
+        Pulse(1, 90.0, PHASE_DEG["-x"]),
+        Pulse(2, 90.0, PHASE_DEG["+x"]),
+        Pulse(1, 90.0, theta),
+        Pulse(2, 90.0, psi),
+        Pulse(1, 90.0, PHASE_DEG["+x"]),
+        Pulse(2, 90.0, PHASE_DEG["-x"]),
         # J coupling for 1/(2J) with shifts refocused
-        delay(tau),
-        pulse(1, 180.0, phi),
-        pulse(2, 180.0, phi),
-        delay(tau),
-        pulse(1, 180.0, phi),
-        pulse(2, 180.0, PHASE_DEG["+x"]),
+        Delay(tau),
+        Pulse(1, 180.0, phi),
+        Pulse(2, 180.0, phi),
+        Delay(tau),
+        Pulse(1, 180.0, phi),
+        Pulse(2, 180.0, PHASE_DEG["+x"]),
     )
     notes = (
         f"oracle {label.name}: sign flip on |{label.a}{label.b}>",
@@ -248,10 +227,10 @@ def compile_oracle(label: OracleLabel, sys: SpinSystem) -> PulseSequence:
     return PulseSequence(events, notes)
 
 
-def hadamard_pair(inverse: bool = False) -> PulseEvent:
+def hadamard_pair(inverse: bool = False) -> Pulse:
     """90(+y) pulse on both spins (the pseudo-Hadamard pair), or 90(-y) for
     the inverse."""
-    return pulse(TARGET_BOTH, 90.0, PHASE_DEG["-y" if inverse else "+y"])
+    return Pulse(TARGET_BOTH, 90.0, PHASE_DEG["-y" if inverse else "+y"])
 
 
 def grover_program(
@@ -285,8 +264,8 @@ def pulse_operator(sys: SpinSystem, ev: PulseEvent, err: ErrorModel = IDEAL) -> 
     decides whether single-spin pulses get the finite-duration propagator.
     Pulses addressed to both spins stay ideal (hard pulses).
     """
-    if ev.kind != PULSE:
-        raise ValueError(f"expected a pulse event, got {ev.kind!r}")
+    if not isinstance(ev, Pulse):
+        raise ValueError(f"expected a pulse event, got {ev!r}")
     if ev.soft_tp is not None:
         return soft_pulse(sys, ev.target, ev.angle_deg, ev.phase_deg, ev.soft_tp)
     if err.mode == "soft-pulse" and ev.target in (1, 2):
@@ -297,7 +276,7 @@ def pulse_operator(sys: SpinSystem, ev: PulseEvent, err: ErrorModel = IDEAL) -> 
 def event_operator(sys: SpinSystem, ev: PulseEvent, err: ErrorModel = IDEAL) -> np.ndarray:
     """Unitary propagator of a pulse or delay event (gradients are not
     unitary; run_sequence handles them)."""
-    if ev.kind == DELAY:
+    if isinstance(ev, Delay):
         return free_evolution(sys, ev.duration)
     return pulse_operator(sys, ev, err)
 
@@ -328,21 +307,6 @@ class PropagatorTable:
         return u
 
 
-def sequence_unitary(sys: SpinSystem, seq, err: ErrorModel = IDEAL) -> np.ndarray:
-    """Product of the event propagators (earliest applied first), as a new
-    array.
-
-    Raises on gradient events, which have no unitary representation.
-    """
-    table = PropagatorTable(sys, err)
-    u = np.eye(4, dtype=complex)
-    for ev in seq:
-        if ev.kind == GRADIENT:
-            raise ValueError("gradient events have no unitary; use run_sequence")
-        u = table.propagator(ev) @ u
-    return u
-
-
 def run_sequence(
     sys: SpinSystem,
     seq,
@@ -365,7 +329,7 @@ def run_sequence(
     rho = np.asarray(rho0, dtype=complex)
     product = None
     for ev in seq:
-        if ev.kind != GRADIENT:
+        if not isinstance(ev, Gradient):
             u = table.propagator(ev)
             product = u if product is None else u @ product
             continue

@@ -205,26 +205,3 @@ def pseudo_pure_00(epsilon: float) -> np.ndarray:
     rho00 = np.zeros((4, 4), dtype=complex)
     rho00[0, 0] = 1.0
     return (1 - epsilon) * np.eye(4, dtype=complex) / 4 + epsilon * rho00
-
-
-def temporal_average_00(populations) -> np.ndarray:
-    """Temporal averaging toward |00>: average the diagonal state over the two
-    cyclic permutations of the non-|00> populations.
-
-    diag(p0, p1, p2, p3) averages to diag(p0, pbar, pbar, pbar) with
-    pbar = (p1+p2+p3)/3, whose traceless part is proportional to the
-    traceless part of |00><00|.
-    """
-    p = np.asarray(populations, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("expected four diagonal populations")
-    if abs(float(np.sum(p)) - 1.0) > 1e-12:
-        raise ValueError("populations must sum to 1")
-    cycles = [
-        [p[0], p[1], p[2], p[3]],
-        [p[0], p[2], p[3], p[1]],
-        [p[0], p[3], p[1], p[2]],
-    ]
-    avg = np.mean(np.asarray(cycles), axis=0)
-    return np.diag(avg).astype(complex)
-

@@ -7,7 +7,15 @@ import numpy as np
 
 from spinsearch.core import IDENTITY_2
 from spinsearch.grover import OracleLabel
-from spinsearch.sequence import PulseSequence, compile_oracle, grover_program, hadamard_pair
+from spinsearch.sequence import (
+    Gradient,
+    PropagatorTable,
+    PulseSequence,
+    compile_oracle,
+    grover_program,
+    hadamard_pair,
+)
+from spinsearch.spins import IDEAL
 
 NORM_TOL = 1e-12
 
@@ -54,6 +62,28 @@ def check_density_matrix(rho: np.ndarray, tol: float = NORM_TOL) -> None:
         raise ValueError("density matrix trace deviates from 1")
     if float(np.min(np.linalg.eigvalsh(rho))) < -1e-10:
         raise ValueError("density matrix has a significantly negative eigenvalue")
+
+
+def temporal_average_00(populations) -> np.ndarray:
+    """Temporal averaging toward |00>: average the diagonal state over the two
+    cyclic permutations of the non-|00> populations.
+
+    diag(p0, p1, p2, p3) averages to diag(p0, pbar, pbar, pbar) with
+    pbar = (p1+p2+p3)/3, whose traceless part is proportional to the
+    traceless part of |00><00|.
+    """
+    p = np.asarray(populations, dtype=float)
+    if p.shape != (4,):
+        raise ValueError("expected four diagonal populations")
+    if abs(float(np.sum(p)) - 1.0) > 1e-12:
+        raise ValueError("populations must sum to 1")
+    cycles = [
+        [p[0], p[1], p[2], p[3]],
+        [p[0], p[2], p[3], p[1]],
+        [p[0], p[3], p[1], p[2]],
+    ]
+    avg = np.mean(np.asarray(cycles), axis=0)
+    return np.diag(avg).astype(complex)
 
 
 def global_phase_factor(a: np.ndarray, b: np.ndarray) -> complex:
@@ -164,3 +194,19 @@ def reference_grover_program(label: OracleLabel, sys) -> PulseSequence:
     )
     notes = (f"two-qubit search program for {label.name}",) + u_fab.notes[1:]
     return PulseSequence(events, notes)
+
+
+def sequence_unitary(sys, seq, err=IDEAL) -> np.ndarray:
+    """Product of the event propagators (earliest applied first), as a new
+    array, from one ``PropagatorTable``: the unitary that ``run_sequence``
+    conjugates a gradient-free sequence by.
+
+    Raises on gradient events, which have no unitary representation.
+    """
+    table = PropagatorTable(sys, err)
+    u = np.eye(4, dtype=complex)
+    for ev in seq:
+        if isinstance(ev, Gradient):
+            raise ValueError("gradient events have no unitary; use run_sequence")
+        u = table.propagator(ev) @ u
+    return u

@@ -26,7 +26,7 @@ from spinsearch.grover import (
     success_probability,
 )
 from spinsearch.readout import AcquisitionParams, classify, detect, reference_phase
-from spinsearch.sequence import compile_oracle, run_sequence, sequence_unitary
+from spinsearch.sequence import Pulse, compile_oracle, run_sequence
 from spinsearch.spins import (
     ErrorModel,
     SpinSystem,
@@ -39,6 +39,7 @@ from state_checks import (
     equal_up_to_global_phase,
     predicted_success_probability,
     search_program,
+    sequence_unitary,
     state_00,
 )
 
@@ -85,7 +86,7 @@ def test_oracle_compilation():
         for sys_ in systems:
             seq = compile_oracle(label, sys_)
             for ev in seq.events:
-                if ev.kind == "pulse":
+                if isinstance(ev, Pulse):
                     assert ev.angle_deg in (90.0, 180.0)
                 else:
                     assert ev.duration == pytest.approx(1 / (4 * sys_.j), abs=1e-15)

@@ -340,12 +340,21 @@ class TestPulseCommand:
         assert code == EXIT_USAGE
         assert "t_p must be finite" in err
 
-    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0", "-1.5"])
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0", "-1.5", "-1e-4", "-1.5E+3", "-.5e-2"])
     def test_non_positive_pulse_duration_is_usage_error(self, capsys, tmp_path, fast_config, value):
         code, out, err = run_cli(capsys, "pulse", "--config", fast_config, "--error-tp", value,
                                  "--out", str(tmp_path))
         assert code == EXIT_USAGE
         assert "soft-pulse mode requires t_p > 0" in err
+        assert out == ""
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_negative_purity_with_exponent_is_usage_error(self, capsys, tmp_path, fast_config):
+        # "-1e-3" reaches the purity check instead of being read as an option
+        code, out, err = run_cli(capsys, "pulse", "--config", fast_config, "--epsilon", "-1e-3",
+                                 "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "purity parameter must satisfy 0 < epsilon <= 1" in err
         assert out == ""
         assert not (tmp_path / "summary.json").exists()
 

@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,24 +15,20 @@ from spinsearch.experiment import run_experiments
 from spinsearch.grover import ALL_LABELS, OracleLabel, grover2_circuit, oracle_matrix
 from spinsearch.readout import AcquisitionParams, AmbiguousReadoutError
 from spinsearch.sequence import (
-    DELAY,
-    GRADIENT,
     ORACLE_PHASE_TABLE,
     PHASE_DEG,
-    PULSE,
-    PropagatorTable,
-    PulseEvent,
-    PulseSequence,
     ROW_FOR_LABEL,
+    Delay,
+    Gradient,
+    PropagatorTable,
+    Pulse,
+    PulseSequence,
     compile_oracle,
-    delay,
     event_operator,
     format_sequence,
-    gradient,
+    grover_program,
     parse_sequence,
-    pulse,
     run_sequence,
-    sequence_unitary,
 )
 from spinsearch.spins import (
     IDEAL,
@@ -43,8 +41,11 @@ from state_checks import (
     equal_up_to_global_phase,
     reference_grover_program,
     search_program,
+    sequence_unitary,
     state_00,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 offsets = st.floats(-400, 400, allow_nan=False)
 
@@ -70,24 +71,28 @@ field_values = {
     "duration": field_numbers,
     "soft_tp": field_numbers,
 }
-# The fields each kind reads; the others are set less often, so that most
-# candidates are accepted.
-fields_read = {PULSE: {"target", "angle_deg", "phase_deg", "soft_tp"}, DELAY: {"duration"}}
 
 
 @st.composite
 def candidate_events(draw):
-    """A PulseEvent from any mix of set and default fields, or None when the
-    constructor rejects the mix."""
-    kind = draw(st.sampled_from([PULSE, DELAY, GRADIENT]))
-    fields = {"kind": kind}
+    """A Pulse, Delay or Gradient built from its required fields, any of its
+    optional ones and now and then a field it lacks, or None when the
+    constructor rejects the mix: TypeError for a field the type lacks,
+    ValueError for a value that cannot run.  Lacking fields are set less
+    often, so that most candidates are accepted."""
+    kind = draw(st.sampled_from([Pulse, Delay, Gradient]))
+    required = {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(kind)}
+    fields = {}
     for name, values in field_values.items():
-        read = name in fields_read.get(kind, ())
-        if draw(st.booleans() if read else st.sampled_from([False, False, False, True])):
+        if name in required:
+            chosen = required[name] or draw(st.booleans())
+        else:
+            chosen = draw(st.sampled_from([False, False, False, True]))
+        if chosen:
             fields[name] = draw(values)
     try:
-        return PulseEvent(**fields)
-    except ValueError:
+        return kind(**fields)
+    except (TypeError, ValueError):
         return None
 
 
@@ -98,11 +103,11 @@ class TestWireFormat:
     def test_round_trip(self):
         seq = PulseSequence(
             (
-                pulse(1, 90.0, 270.0),
-                pulse("both", 90.0, 90.0),
-                pulse(2, 180.0, 12.5, soft_tp=0.0012),
-                delay(1 / 28),
-                gradient(),
+                Pulse(1, 90.0, 270.0),
+                Pulse("both", 90.0, 90.0),
+                Pulse(2, 180.0, 12.5, soft_tp=0.0012),
+                Delay(1 / 28),
+                Gradient(),
             ),
             notes=("demo sequence",),
         )
@@ -135,13 +140,13 @@ class TestWireFormat:
     def test_padded_notes_round_trip(self, parts):
         # only the single space after "#" is format_sequence's own
         notes = tuple(lead + head + "#" + tail + trail for lead, head, tail, trail in parts)
-        seq = PulseSequence((gradient(),), notes)
+        seq = PulseSequence((Gradient(),), notes)
         assert parse_sequence(format_sequence(seq)) == seq
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\nPULSE both 90.0 90.0  # inline\nDELAY 0.25\nGRAD\n"
         seq = parse_sequence(text)
-        assert [ev.kind for ev in seq.events] == [PULSE, DELAY, GRADIENT]
+        assert [type(ev) for ev in seq.events] == [Pulse, Delay, Gradient]
 
     @pytest.mark.parametrize(
         "line",
@@ -152,60 +157,86 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             parse_sequence(line)
 
+    @pytest.mark.parametrize("item", [object(), "GRAD", None])
+    def test_non_event_not_written(self, item):
+        # only the three event types have a wire form
+        with pytest.raises(TypeError, match="not a pulse event"):
+            format_sequence([Gradient(), item])
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            delay(-1.0)
+            Delay(-1.0)
 
     @pytest.mark.parametrize(
         "line, fields",
         [
-            ("PULSE both 90 0 SOFT 1e-3", {"target": "both", "angle_deg": 90.0, "soft_tp": 1e-3}),
-            ("DELAY nan", {"kind": DELAY, "duration": math.nan}),
-            ("DELAY inf", {"kind": DELAY, "duration": math.inf}),
-            ("PULSE 1 inf 0", {"target": 1, "angle_deg": math.inf}),
-            ("PULSE 2 -inf 0", {"target": 2, "angle_deg": -math.inf}),
-            ("PULSE 1 90 nan", {"target": 1, "angle_deg": 90.0, "phase_deg": math.nan}),
-            ("PULSE 1 90 0 SOFT nan", {"target": 1, "angle_deg": 90.0, "soft_tp": math.nan}),
-            ("PULSE 2 90 0 SOFT inf", {"target": 2, "angle_deg": 90.0, "soft_tp": math.inf}),
+            ("PULSE both 90 0 SOFT 1e-3", (Pulse, {"target": "both", "angle_deg": 90.0,
+                                                   "phase_deg": 0.0, "soft_tp": 1e-3})),
+            ("DELAY nan", (Delay, {"duration": math.nan})),
+            ("DELAY inf", (Delay, {"duration": math.inf})),
+            ("PULSE 1 inf 0", (Pulse, {"target": 1, "angle_deg": math.inf, "phase_deg": 0.0})),
+            ("PULSE 2 -inf 0", (Pulse, {"target": 2, "angle_deg": -math.inf, "phase_deg": 0.0})),
+            ("PULSE 1 90 nan", (Pulse, {"target": 1, "angle_deg": 90.0, "phase_deg": math.nan})),
+            ("PULSE 1 90 0 SOFT nan", (Pulse, {"target": 1, "angle_deg": 90.0, "phase_deg": 0.0,
+                                               "soft_tp": math.nan})),
+            ("PULSE 2 90 0 SOFT inf", (Pulse, {"target": 2, "angle_deg": 90.0, "phase_deg": 0.0,
+                                               "soft_tp": math.inf})),
         ],
     )
     def test_unrunnable_events_rejected(self, line, fields):
         # rejected when built, not first when run
+        kind, values = fields
         with pytest.raises(ValueError):
-            PulseEvent(**{"kind": PULSE, **fields})
+            kind(**values)
         with pytest.raises(ValueError):
             parse_sequence(line)
 
     @pytest.mark.parametrize(
         "fields",
         [
-            {"kind": DELAY, "duration": 1.0, "soft_tp": 1e-3},
-            {"kind": DELAY, "duration": 1.0, "target": 1},
-            {"kind": DELAY, "duration": 1.0, "angle_deg": 90.0},
-            {"kind": DELAY, "duration": 1.0, "phase_deg": 90.0},
-            {"kind": GRADIENT, "target": "both"},
-            {"kind": GRADIENT, "angle_deg": 90.0},
-            {"kind": GRADIENT, "phase_deg": 270.0},
-            {"kind": GRADIENT, "duration": 1e-3},
-            {"kind": GRADIENT, "soft_tp": 1e-3},
-            {"kind": PULSE, "target": 1, "angle_deg": 90.0, "duration": 1e-3},
-            {"kind": PULSE, "target": True, "angle_deg": 90.0},
-            {"kind": PULSE, "target": 2.0, "angle_deg": 90.0},
+            (Delay, {"duration": 1.0, "soft_tp": 1e-3}, TypeError),
+            (Delay, {"duration": 1.0, "target": 1}, TypeError),
+            (Delay, {"duration": 1.0, "angle_deg": 90.0}, TypeError),
+            (Delay, {"duration": 1.0, "phase_deg": 90.0}, TypeError),
+            (Gradient, {"target": "both"}, TypeError),
+            (Gradient, {"angle_deg": 90.0}, TypeError),
+            (Gradient, {"phase_deg": 270.0}, TypeError),
+            (Gradient, {"duration": 1e-3}, TypeError),
+            (Gradient, {"soft_tp": 1e-3}, TypeError),
+            (Pulse, {"target": 1, "angle_deg": 90.0, "phase_deg": 0.0, "duration": 1e-3},
+             TypeError),
+            (Pulse, {"target": True, "angle_deg": 90.0, "phase_deg": 0.0}, ValueError),
+            (Pulse, {"target": 2.0, "angle_deg": 90.0, "phase_deg": 0.0}, ValueError),
         ],
     )
     def test_fields_the_kind_ignores_rejected(self, fields):
-        # the wire format drops them, so they would not survive a round trip
-        with pytest.raises(ValueError):
-            PulseEvent(**fields)
+        # a field the type lacks cannot be set, and a target that would not
+        # print as the word the parser reads back is refused
+        kind, values, error = fields
+        with pytest.raises(error):
+            kind(**values)
 
     @given(st.lists(candidate_events(), max_size=20))
     @example([
-        PulseEvent(PULSE, np.int64(1), np.float64(90.0), np.float64(45), soft_tp=np.float64(1e-3)),
-        PulseEvent(DELAY, duration=np.float64(0.25)),
+        Pulse(np.int64(1), np.float64(90.0), np.float64(45), soft_tp=np.float64(1e-3)),
+        Delay(np.float64(0.25)),
     ])
     def test_every_accepted_event_round_trips(self, candidates):
         events = tuple(ev for ev in candidates if ev is not None)
         assert parse_sequence(format_sequence(events)).events == events
+
+    @pytest.mark.parametrize("name, sys", [("default", SpinSystem()), ("j6.5", SpinSystem(j=6.5))],
+                             ids=["default", "j6.5"])
+    def test_search_programs_match_golden_text(self, name, sys):
+        # the four programs of an experiment set, built from oracles compiled
+        # once, written exactly as recorded and read back to the same events
+        oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
+        programs = [grover_program(label, oracles) for label in ALL_LABELS]
+        golden = (GOLDEN / f"search_programs_{name}.txt").read_bytes()
+        assert "".join(format_sequence(p) for p in programs).encode() == golden
+        back = parse_sequence(golden.decode())
+        assert back.events == tuple(ev for p in programs for ev in p.events)
+        assert back.notes == tuple(note for p in programs for note in p.notes)
 
 
 class TestOracleCompiler:
@@ -227,10 +258,10 @@ class TestOracleCompiler:
         sys = SpinSystem(j=11.0)
         for label in ALL_LABELS:
             for ev in compile_oracle(label, sys).events:
-                if ev.kind == PULSE:
+                if isinstance(ev, Pulse):
                     assert ev.angle_deg in (90.0, 180.0)
                 else:
-                    assert ev.kind == DELAY
+                    assert isinstance(ev, Delay)
                     assert ev.duration == pytest.approx(1 / (4 * 11.0), abs=1e-15)
 
     def test_exactly_five_label_dependent_phases(self):
@@ -241,8 +272,8 @@ class TestOracleCompiler:
         varying = 0
         for position in range(12):
             events = [seq[position] for seq in sequences]
-            assert len({ev.kind for ev in events}) == 1
-            if events[0].kind == PULSE:
+            assert len({type(ev) for ev in events}) == 1
+            if isinstance(events[0], Pulse):
                 if len({ev.phase_deg for ev in events}) > 1:
                     varying += 1
         assert varying == 5
@@ -254,7 +285,7 @@ class TestOracleCompiler:
             allowed = {PHASE_DEG[row.theta], PHASE_DEG[row.phi], PHASE_DEG[row.psi],
                        PHASE_DEG["+x"], PHASE_DEG["-x"]}
             for ev in compile_oracle(label, sys).events:
-                if ev.kind == PULSE:
+                if isinstance(ev, Pulse):
                     assert ev.phase_deg in allowed
 
     def test_phase_rows_map_to_bit_swapped_labels(self):
@@ -296,9 +327,9 @@ class TestRunSequence:
         from spinsearch.core import coherence_order_matrix
 
         sys = SpinSystem()
-        pulsed = run_sequence(sys, PulseSequence((pulse("both", 90.0, 0.0),)), state_00())
+        pulsed = run_sequence(sys, PulseSequence((Pulse("both", 90.0, 0.0),)), state_00())
         crushed = run_sequence(
-            sys, PulseSequence((pulse("both", 90.0, 0.0), gradient())), state_00()
+            sys, PulseSequence((Pulse("both", 90.0, 0.0), Gradient())), state_00()
         )
         orders = coherence_order_matrix(2)
         assert np.max(np.abs(crushed[orders != 0])) == 0.0
@@ -335,13 +366,13 @@ class TestRunSequence:
 
     def test_sequence_unitary_rejects_gradient(self):
         with pytest.raises(ValueError, match="gradient"):
-            sequence_unitary(SpinSystem(), PulseSequence((gradient(),)))
+            sequence_unitary(SpinSystem(), PulseSequence((Gradient(),)))
 
 
 def per_event_fold(sys, events, rho, err):
     """Reference executor: one propagator and one conjugation per event."""
     for ev in events:
-        if ev.kind == GRADIENT:
+        if isinstance(ev, Gradient):
             rho = gradient_crush(rho)
         else:
             rho = apply_unitary(event_operator(sys, ev, err), rho)
@@ -367,15 +398,15 @@ def random_density(seed):
 
 
 FOLD_SYSTEM = SpinSystem(nu1=93.0, nu2=-71.5, j=6.5)
-P1 = pulse(1, 90.0, 270.0)
-P2 = pulse(2, 180.0, 0.0, soft_tp=2e-4)
-PB = pulse("both", 90.0, 90.0)
-TAU = delay(FOLD_SYSTEM.tau)
-GRAD = gradient()
+P1 = Pulse(1, 90.0, 270.0)
+P2 = Pulse(2, 180.0, 0.0, soft_tp=2e-4)
+PB = Pulse("both", 90.0, 90.0)
+TAU = Delay(FOLD_SYSTEM.tau)
+GRAD = Gradient()
 fold_events = st.one_of(
     st.sampled_from([P1, P2, PB, TAU, GRAD]),
-    st.builds(pulse, st.sampled_from([1, 2, "both"]), st.floats(-360, 360), st.floats(0, 360)),
-    st.builds(delay, st.floats(0, 0.1)),
+    st.builds(Pulse, st.sampled_from([1, 2, "both"]), st.floats(-360, 360), st.floats(0, 360)),
+    st.builds(Delay, st.floats(0, 0.1)),
 )
 fold_errors = st.sampled_from([ErrorModel(), ErrorModel("soft-pulse", 1e-4)])
 
@@ -406,7 +437,7 @@ class TestPropagatorFold:
         rho0 = random_density(3)
         got = run_sequence(FOLD_SYSTEM, events, rho0, err)
         assert np.max(np.abs(got - per_event_fold(FOLD_SYSTEM, events, rho0, err))) <= 1e-12
-        unitary_events = [ev for ev in events if ev.kind != GRADIENT]
+        unitary_events = [ev for ev in events if not isinstance(ev, Gradient)]
         got_u = sequence_unitary(FOLD_SYSTEM, unitary_events, err)
         want_u = per_event_unitary(FOLD_SYSTEM, unitary_events, err)
         assert np.max(np.abs(got_u - want_u)) <= 1e-12
@@ -537,21 +568,21 @@ class TestPulseOperator:
         from spinsearch.grover import pseudo_hadamard
         from spinsearch.sequence import pulse_operator
 
-        u = pulse_operator(SpinSystem(), pulse(1, 90.0, 90.0))
+        u = pulse_operator(SpinSystem(), Pulse(1, 90.0, 90.0))
         assert np.allclose(u, np.kron(pseudo_hadamard(), IDENTITY_2), atol=1e-15)
 
     def test_rejects_non_pulse_event(self):
         from spinsearch.sequence import pulse_operator
 
         with pytest.raises(ValueError, match="pulse event"):
-            pulse_operator(SpinSystem(), delay(0.1))
+            pulse_operator(SpinSystem(), Delay(0.1))
 
     def test_soft_mode_differs_from_ideal(self):
         from spinsearch.sequence import pulse_operator
 
         sys = SpinSystem()
-        ideal = pulse_operator(sys, pulse(2, 90.0, 0.0))
-        soft = pulse_operator(sys, pulse(2, 90.0, 0.0), ErrorModel("soft-pulse", 1e-3))
+        ideal = pulse_operator(sys, Pulse(2, 90.0, 0.0))
+        soft = pulse_operator(sys, Pulse(2, 90.0, 0.0), ErrorModel("soft-pulse", 1e-3))
         assert np.max(np.abs(ideal - soft)) > 1e-4
 
 
@@ -567,16 +598,16 @@ class TestErrorModelExecution:
 
     def test_event_level_soft_marker_wins(self):
         sys = SpinSystem()
-        seq = PulseSequence((pulse(1, 90.0, 0.0, soft_tp=1e-3),))
+        seq = PulseSequence((Pulse(1, 90.0, 0.0, soft_tp=1e-3),))
         forced = sequence_unitary(sys, seq)
         modelled = sequence_unitary(
-            sys, PulseSequence((pulse(1, 90.0, 0.0),)), ErrorModel("soft-pulse", 1e-3)
+            sys, PulseSequence((Pulse(1, 90.0, 0.0),)), ErrorModel("soft-pulse", 1e-3)
         )
         assert np.allclose(forced, modelled, atol=1e-15)
 
     def test_both_target_pulses_stay_hard(self):
         sys = SpinSystem()
-        seq = PulseSequence((pulse("both", 90.0, 90.0),))
+        seq = PulseSequence((Pulse("both", 90.0, 90.0),))
         with_err = sequence_unitary(sys, seq, ErrorModel("soft-pulse", 1e-3))
         without = sequence_unitary(sys, seq)
         assert np.array_equal(with_err, without)

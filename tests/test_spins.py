@@ -23,7 +23,6 @@ from spinsearch.spins import (
     ideal_pulse,
     pseudo_pure_00,
     soft_pulse,
-    temporal_average_00,
 )
 from state_checks import (
     IZ1,
@@ -33,6 +32,7 @@ from state_checks import (
     equal_up_to_global_phase,
     hamiltonian,
     state_00,
+    temporal_average_00,
 )
 
 offsets = st.floats(-500, 500, allow_nan=False)
