@@ -67,7 +67,8 @@ class RunConfig:
 
 
 def parse_config_file(path: str) -> dict[str, float]:
-    """Read a `key = value` config file; '#' starts a comment."""
+    """Read a `key = value` config file; '#' starts a comment and a key may
+    appear once."""
     values: dict[str, float] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -80,6 +81,8 @@ def parse_config_file(path: str) -> dict[str, float]:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             value = value.strip()
             try:
                 values[key] = float(value)
@@ -107,10 +110,13 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # Python 3.10 and 3.11 read a negative number only as digits with an
-        # optional fraction, so "--error-tp -1e-4" took "-1e-4" for an option;
-        # accept an exponent too, so such a value reaches the package's checks.
+        # optional fraction, so "--error-tp -1e-4" or "-inf" was taken for an
+        # option; accept an exponent and float()'s inf, infinity and nan
+        # spellings too, so such a value reaches the package's checks.
         # Sub-parsers are built from this class and inherit the pattern.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
     # argparse exits with 2 on usage errors; this CLI reserves 2 for
     # classification failures, so remap usage errors to exit code 1.

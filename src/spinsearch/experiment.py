@@ -74,7 +74,7 @@ def run_experiments(
     """Acquire the reference and the four labelled search experiments.
 
     The reference is a plain detection of |00><00|; its phase correction and
-    line integrals calibrate all four experiment spectra.  All five
+    line coefficients calibrate all four experiment spectra.  All five
     detections share one line basis.  Each label's oracle is compiled once,
     the f00 oracle doubling as every program's |00> reflection, and the
     four pulse programs share one propagator table, so each distinct pulse
@@ -84,7 +84,7 @@ def run_experiments(
     ref_spec = detect(sys, pseudo_pure_00(1.0), acq, lines)
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase)
-    ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
+    ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
 
     oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
     table = PropagatorTable(sys, err)
@@ -93,7 +93,7 @@ def run_experiments(
         rho0 = pseudo_pure_00(epsilon)
         rho = run_sequence(sys, grover_program(label, oracles), rho0, err, table)
         spec = detect(sys, rho, acq, lines)
-        result = classify(spec, phase, ref_integrals)
+        result = classify(spec, phase, ref_coefficients)
         target = basis_state(2, label.index)
         runs.append(ExperimentRun(label, spec, result, fidelity(target, rho)))
     return ExperimentSet(ref_spec, ref_result, phase, tuple(runs))

@@ -97,8 +97,8 @@ def test_oracle_compilation():
 
 @report("end-to-end readout (eps in {1, 0.2}, signs per rule, heights within 1e-6, < 5 s)")
 def test_end_to_end_readout():
-    # a high-resolution configuration; the line integrals are exact on any
-    # grid, so the 1e-6 height tolerance does not depend on this choice
+    # a high-resolution configuration; the line coefficients are exact on
+    # any grid, so the 1e-6 height tolerance does not depend on this choice
     sys_ = SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0)
     acq = AcquisitionParams(spectral_width=1024.0, n_points=131072)
     start = time.perf_counter()
@@ -106,11 +106,11 @@ def test_end_to_end_readout():
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase)
     assert ref_result.qubits == (0, 0)  # the reference reads as the |00> baseline
-    ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
+    ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
     for epsilon in (1.0, 0.2):
         for label in ALL_LABELS:
             rho = run_sequence(sys_, search_program(label, sys_), pseudo_pure_00(epsilon))
-            result = classify(detect(sys_, rho, acq), phase, ref_integrals)
+            result = classify(detect(sys_, rho, acq), phase, ref_coefficients)
             assert result.qubits == (label.a, label.b)
             for height, peak in zip(result.line_heights, result.peaks):
                 expected_sign = -1 if (label.a, label.b)[peak.assigned_spin - 1] else 1
@@ -241,11 +241,11 @@ def test_error_model_property():
 
     ref_spec = detect(sys_, state_00(), acq)
     phase = reference_phase(ref_spec)
-    ref_integrals = tuple(
-        float(p.integral) for p in classify(ref_spec, phase).peaks
+    ref_coefficients = tuple(
+        float(p.coefficient) for p in classify(ref_spec, phase).peaks
     )
     err = ErrorModel("soft-pulse", 1e-6)
     for label in ALL_LABELS:
         rho = run_sequence(sys_, search_program(label, sys_), pseudo_pure_00(1.0), err)
-        result = classify(detect(sys_, rho, acq), phase, ref_integrals)
+        result = classify(detect(sys_, rho, acq), phase, ref_coefficients)
         assert result.qubits == (label.a, label.b)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -285,9 +286,6 @@ class TestPulseCommand:
             outs.append((stdout, [(out_dir / name).read_bytes() for name in names]))
         assert outs[0] == outs[1]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "MIN_DOUBLET_SIGNAL is compared with line integrals c_k*sw/2, so the "
-        "smallest readable epsilon depends on the spectral width"))
     def test_tiny_purity_reads_at_every_spectral_width(self, capsys, tmp_path):
         codes = {}
         for width in (512, 4096):
@@ -340,18 +338,33 @@ class TestPulseCommand:
         assert code == EXIT_USAGE
         assert "t_p must be finite" in err
 
-    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0", "-1.5", "-1e-4", "-1.5E+3", "-.5e-2"])
+    @pytest.mark.parametrize(
+        "value",
+        ["0", "0.0", "-0.0", "-1.5", "-1e-4", "-1.5E+3", "-.5e-2", "-inf", "-Infinity", "-NaN"],
+    )
     def test_non_positive_pulse_duration_is_usage_error(self, capsys, tmp_path, fast_config, value):
+        # "-inf" and "-nan" reach the package's finiteness check instead of
+        # being read as options
         code, out, err = run_cli(capsys, "pulse", "--config", fast_config, "--error-tp", value,
                                  "--out", str(tmp_path))
         assert code == EXIT_USAGE
-        assert "soft-pulse mode requires t_p > 0" in err
+        finite = math.isfinite(float(value))
+        assert ("soft-pulse mode requires t_p > 0" if finite else "t_p must be finite") in err
         assert out == ""
         assert not (tmp_path / "summary.json").exists()
 
     def test_negative_purity_with_exponent_is_usage_error(self, capsys, tmp_path, fast_config):
         # "-1e-3" reaches the purity check instead of being read as an option
         code, out, err = run_cli(capsys, "pulse", "--config", fast_config, "--epsilon", "-1e-3",
+                                 "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "purity parameter must satisfy 0 < epsilon <= 1" in err
+        assert out == ""
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-infinity", "-Infinity", "-nan", "-NaN"])
+    def test_negative_non_finite_purity_is_usage_error(self, capsys, tmp_path, fast_config, value):
+        code, out, err = run_cli(capsys, "pulse", "--config", fast_config, "--epsilon", value,
                                  "--out", str(tmp_path))
         assert code == EXIT_USAGE
         assert "purity parameter must satisfy 0 < epsilon <= 1" in err
@@ -365,6 +378,14 @@ class TestPulseCommand:
         code, _, err = run_cli(capsys, "pulse", "--config", str(bad), "--out", str(tmp_path))
         assert code == EXIT_USAGE
         assert f"{bad}:3: {key} must be a number, got {value!r}" in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_repeated_config_key_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_points = 1024\nj_hz = 7\n# again\nn_points = 2048\n")
+        code, _, err = run_cli(capsys, "pulse", "--config", str(bad), "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert f"{bad}:4: repeated key 'n_points'" in err
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("value", ["4096.7", "1024.5", "inf"])

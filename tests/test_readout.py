@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import stat
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from spinsearch.readout import (
     write_spectrum_csv,
     write_summary_json,
 )
-from spinsearch.sequence import run_sequence
+from spinsearch.sequence import compile_oracle, grover_program, run_sequence
 from spinsearch.spins import (
     IDEAL,
     ErrorModel,
@@ -103,43 +104,44 @@ def _observed(rho, acq):
 
 def _reference_detect(sys, rho, acq):
     """Detection with a fresh FID and frequency grid, each line integrated
-    over a boolean mask of +/- 3 linewidths (the readout before exact
-    integrals)."""
+    over a boolean mask of +/- 3 linewidths and its coefficient taken as the
+    integral over sw/2 (the readout before exact coefficients)."""
     if acq.spectral_width <= 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j):
         raise ValueError("spectral width too small: lines would alias")
     values = _reference_spectrum(_reference_synthesize_fid(sys, _observed(rho, acq), acq))
     freq = np.fft.fftshift(np.fft.fftfreq(acq.n_points, d=acq.dwell))
     width = 1.0 / (math.pi * sys.t2)
+    # a point weighs sw/N, so the window sum times sw/N over sw/2 is c
+    scale = 2 / acq.n_points
     peaks = tuple(
-        Peak(center, complex(np.sum(values[np.abs(freq - center) <= 3 * width]) * acq.resolution),
-             spin)
+        Peak(center, complex(np.sum(values[np.abs(freq - center) <= 3 * width]) * scale), spin)
         for center, spin in line_centers(sys)
     )
     return Spectrum(freq, values, peaks)
 
 
-def _exact_integrals(sys, rho, acq):
-    """c_k * spectral_width / 2 for each line in line_centers order, where
-    c_k = O_ji * rho_ij after the crush and the observe pulse and line k is
-    the coherence (i, j) nearest its centre, at E_j - E_i."""
+def _exact_coefficients(sys, rho, acq):
+    """c_k = O_ji * rho_ij after the crush and the observe pulse for each line
+    in line_centers order, where line k is the coherence (i, j) nearest its
+    centre, at E_j - E_i."""
     rho = _observed(rho, acq)
     energies = np.diag(hamiltonian(sys.nu1, sys.nu2, sys.j)).real
     observe = OBSERVE_1 + OBSERVE_2
     rows, cols = np.nonzero(observe.T)
     lines = [(energies[j] - energies[i], observe[j, i] * rho[i, j]) for i, j in zip(rows, cols)]
-    integrals = []
+    coefficients = []
     for center, _ in line_centers(sys):
         _, c = min(lines, key=lambda line: abs(line[0] - center))
-        integrals.append(complex(c * acq.spectral_width / 2))
-    return integrals
+        coefficients.append(complex(c))
+    return coefficients
 
 
 def _reference_exact_detect(sys, rho, acq):
-    """_reference_detect's spectrum with the exact line integrals."""
+    """_reference_detect's spectrum with the exact line coefficients."""
     spec = _reference_detect(sys, rho, acq)
     peaks = tuple(
-        Peak(p.center_hz, integral, p.assigned_spin)
-        for p, integral in zip(spec.peaks, _exact_integrals(sys, rho, acq))
+        Peak(p.center_hz, c, p.assigned_spin)
+        for p, c in zip(spec.peaks, _exact_coefficients(sys, rho, acq))
     )
     return Spectrum(spec.freq_hz, spec.values, peaks)
 
@@ -183,12 +185,12 @@ def _reference_experiments(sys, acq, epsilon, err):
     ref_spec = _reference_exact_detect(sys, state_00(), acq)
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase)
-    ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
+    ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
     runs = []
     for label in ALL_LABELS:
         rho = run_sequence(sys, reference_grover_program(label, sys), pseudo_pure_00(epsilon), err)
         spec = _reference_exact_detect(sys, rho, acq)
-        result = classify(spec, phase, ref_integrals)
+        result = classify(spec, phase, ref_coefficients)
         runs.append((spec, result, fidelity(basis_state(2, label.index), rho)))
     return ref_spec, phase, ref_result, runs
 
@@ -198,7 +200,7 @@ def _assert_same_grid_and_peaks(actual, expected):
     assert len(actual.peaks) == len(expected.peaks) == 4
     for got, want in zip(actual.peaks, expected.peaks):
         assert got.center_hz == want.center_hz
-        assert got.integral == want.integral
+        assert got.coefficient == want.coefficient
         assert got.assigned_spin == want.assigned_spin
 
 
@@ -257,6 +259,12 @@ def template_configurations(draw):
     return sys, acq
 
 
+def error_models():
+    """Ideal pulses, or soft pulses with t_p log-uniform in [1e-6, 2e-4] s."""
+    soft = st.floats(-6.0, math.log10(2e-4)).map(lambda x: ErrorModel("soft-pulse", 10**x))
+    return st.one_of(st.just(IDEAL), soft)
+
+
 @st.composite
 def detection_inputs(draw):
     """A validated spin system, a non-aliasing acquisition and a random
@@ -301,7 +309,7 @@ class TestDetect:
     def test_reference_has_four_same_sign_lines(self):
         spec = detect(SYS, state_00(), ACQ)
         assert len(spec.peaks) == 4
-        phases = [np.angle(p.integral) for p in spec.peaks]
+        phases = [np.angle(p.coefficient) for p in spec.peaks]
         # all four lines share the observe phase
         spread = np.degrees(np.max(np.abs(np.angle(np.exp(1j * (np.array(phases) - phases[0]))))))
         assert spread <= 15.0
@@ -319,8 +327,8 @@ class TestDetect:
         spec = detect(SYS, rho_basis(1), ACQ)
         phase = reference_phase(detect(SYS, state_00(), ACQ))
         rot = np.exp(-1j * math.radians(phase))
-        spin1 = [float((p.integral * rot).real) for p in spec.peaks if p.assigned_spin == 1]
-        spin2 = [float((p.integral * rot).real) for p in spec.peaks if p.assigned_spin == 2]
+        spin1 = [float((p.coefficient * rot).real) for p in spec.peaks if p.assigned_spin == 1]
+        spin2 = [float((p.coefficient * rot).real) for p in spec.peaks if p.assigned_spin == 2]
         assert all(v > 0 for v in spin1)
         assert all(v < 0 for v in spin2)
 
@@ -493,7 +501,8 @@ class TestLineIntegrals:
     def test_spectrum_integrates_to_its_line_integrals(self, inputs):
         sys, acq, rho = inputs
         spec = detect(sys, rho, acq)
-        integrals = [p.integral for p in spec.peaks]
+        # line k integrates to c_k * sw / 2
+        integrals = [p.coefficient * acq.spectral_width / 2 for p in spec.peaks]
         # relative to the summed line magnitudes, which lines of opposite
         # sign cannot cancel
         scale = sum(abs(integral) for integral in integrals)
@@ -515,8 +524,8 @@ class TestLineIntegrals:
         for index in range(4):
             windowed = _reference_detect(sys, rho_basis(index), acq).peaks
             for window, exact in zip(windowed, detect(sys, rho_basis(index), acq).peaks):
-                assert (window.integral * rot).real * (exact.integral * rot).real > 0
-                residue = abs(math.degrees(np.angle(window.integral / exact.integral)))
+                assert (window.coefficient * rot).real * (exact.coefficient * rot).real > 0
+                residue = abs(math.degrees(np.angle(window.coefficient / exact.coefficient)))
                 assert residue <= 15.0
 
     @given(configurations(j_max=20.0, t2_max=10.0), st.floats(0.05, 1.0, exclude_min=True))
@@ -531,6 +540,54 @@ class TestLineIntegrals:
                 expected = -epsilon if bits[peak.assigned_spin - 1] else epsilon
                 assert abs(height - expected) <= 1e-6
 
+    @given(configurations(j_max=20.0, t2_max=10.0), error_models())
+    def test_maximally_mixed_state_stays_under_the_no_signal_floor(self, config, err):
+        # MIN_LINE_COEFFICIENT was set at 4.5 times the largest |c| that I/4
+        # kept through the search programs; at twice that rounding floor a
+        # line above the floor still has the sign of its signal
+        sys, acq = config
+        oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
+        for label in ALL_LABELS:
+            rho = run_sequence(sys, grover_program(label, oracles), np.eye(4) / 4, err)
+            for peak in detect(sys, rho, acq).peaks:
+                assert abs(peak.coefficient) <= readout.MIN_LINE_COEFFICIENT / 2
+
+    @given(
+        configurations(j_max=20.0, t2_max=10.0),
+        error_models(),
+        st.floats(-17.0, 0.0).map(lambda x: 10**x),
+        st.lists(
+            st.tuples(st.floats(1.0, 1e4), st.sampled_from([1024, 2048, 4096])),
+            min_size=1, max_size=3,
+        ),
+    )
+    @example(
+        (SYS, AcquisitionParams(spectral_width=512.0, n_points=1024)), IDEAL, 1e-12,
+        [(2.0, 1024), (8.0, 1024)],
+    )
+    @example(
+        (SYS, AcquisitionParams(spectral_width=65536.0, n_points=1024)),
+        ErrorModel("soft-pulse", 1e-4), 1e-15, [(16.0, 1024)],
+    )
+    def test_readout_verdict_is_the_same_at_every_spectral_width(
+        self, config, err, epsilon, widenings
+    ):
+        # the no-signal floor applies to line coefficients, which neither the
+        # spectral width nor the number of points scales; widening the
+        # configuration's own width keeps every acquisition non-aliasing
+        sys, acq = config
+        verdicts = set()
+        for factor, n_points in [(1.0, acq.n_points), *widenings]:
+            wider = dataclasses.replace(
+                acq, spectral_width=acq.spectral_width * factor, n_points=n_points
+            )
+            try:
+                runs = run_experiments(sys, wider, epsilon, err).runs
+                verdicts.add(tuple(run.result.qubits for run in runs))
+            except AmbiguousReadoutError:
+                verdicts.add(None)
+        assert len(verdicts) == 1
+
 
 class TestReferencePhase:
     def test_absorption_reference_is_zero(self):
@@ -543,7 +600,7 @@ class TestReferencePhase:
             spec.freq_hz,
             spec.values * np.exp(1j * math.pi / 2),
             tuple(
-                Peak(p.center_hz, p.integral * np.exp(1j * math.pi / 2), p.assigned_spin)
+                Peak(p.center_hz, p.coefficient * np.exp(1j * math.pi / 2), p.assigned_spin)
                 for p in spec.peaks
             ),
         )
@@ -568,7 +625,7 @@ class TestReferencePhase:
     def test_mixed_phase_message_quotes_largest_residue(self):
         spec = detect(SYS, state_00(), ACQ)
         quadrature = tuple(
-            Peak(p.center_hz, abs(p.integral) * (1j if i % 2 else 1), p.assigned_spin)
+            Peak(p.center_hz, abs(p.coefficient) * (1j if i % 2 else 1), p.assigned_spin)
             for i, p in enumerate(spec.peaks)
         )
         message = r"common phase \(largest residue 45\.0° > 15°\)$"
@@ -580,7 +637,7 @@ def _phase_and_reference():
     ref = detect(SYS, state_00(), ACQ)
     phase = reference_phase(ref)
     result = classify(ref, phase)
-    return phase, tuple(float(p.integral) for p in result.peaks)
+    return phase, tuple(float(p.coefficient) for p in result.peaks)
 
 
 class TestClassify:
@@ -609,7 +666,7 @@ class TestClassify:
         phase, ref = _phase_and_reference()
         spec = detect(SYS, state_00(), ACQ)
         flipped = tuple(
-            Peak(p.center_hz, p.integral * (-1 if i == 0 else 1), p.assigned_spin)
+            Peak(p.center_hz, p.coefficient * (-1 if i == 0 else 1), p.assigned_spin)
             for i, p in enumerate(spec.peaks)
         )
         with pytest.raises(AmbiguousReadoutError, match="disagree"):
@@ -619,7 +676,7 @@ class TestClassify:
         phase, ref = _phase_and_reference()
         spec = detect(SYS, rho_basis(1), ACQ)
         halved = tuple(
-            Peak(p.center_hz, p.integral * (-0.5 if i == 0 else 1), p.assigned_spin)
+            Peak(p.center_hz, p.coefficient * (-0.5 if i == 0 else 1), p.assigned_spin)
             for i, p in enumerate(spec.peaks)
         )
         message = r"^spin-2 doublet lines disagree in sign \(\+0\.5, -1\)$"
@@ -632,9 +689,9 @@ class TestClassify:
         ref = detect(SYS, state_00(), acq)
         phase = reference_phase(ref)
         ref_result = classify(ref, phase)
-        ref_integrals = tuple(float(p.integral) for p in ref_result.peaks)
+        ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
         for index, expected in ((0, (0, 0)), (1, (0, 1)), (2, (1, 0)), (3, (1, 1))):
-            result = classify(detect(SYS, rho_basis(index), acq), phase, ref_integrals)
+            result = classify(detect(SYS, rho_basis(index), acq), phase, ref_coefficients)
             assert result.qubits == expected
 
     @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
@@ -650,6 +707,16 @@ class TestClassify:
         phase, _ = _phase_and_reference()
         with pytest.raises(ValueError):
             classify(detect(SYS, state_00(), ACQ), phase, (1.0, 0.0, 1.0, 1.0))
+
+
+_WRITERS = pytest.mark.parametrize(
+    "write, content",
+    [
+        (write_spectrum_csv, lambda: detect(SYS, state_00(), ACQ)),
+        (write_summary_json, lambda: [{"experiment": "ref", "qubits": [0, 0]}]),
+    ],
+    ids=["write_spectrum_csv", "write_summary_json"],
+)
 
 
 class TestExports:
@@ -686,14 +753,7 @@ class TestExports:
             assert fast.read_bytes() == reference.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.csv", "reference.csv"]
 
-    @pytest.mark.parametrize(
-        "write, content",
-        [
-            (write_spectrum_csv, lambda: detect(SYS, state_00(), ACQ)),
-            (write_summary_json, lambda: [{"experiment": "ref", "qubits": [0, 0]}]),
-        ],
-        ids=["write_spectrum_csv", "write_summary_json"],
-    )
+    @_WRITERS
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, content):
         path = tmp_path / "a.out"
         path.write_bytes(b"previous")
@@ -706,6 +766,17 @@ class TestExports:
             write(str(path), content())
         assert path.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["a.out"]
+
+    @_WRITERS
+    def test_written_file_has_the_mode_open_gives(self, tmp_path, write, content):
+        # the process umask applies to both files and is left as it is
+        sibling = tmp_path / "sibling.out"
+        with open(sibling, "w"):
+            pass
+        path = tmp_path / "a.out"
+        write(str(path), content())
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(sibling.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.out", "sibling.out"]
 
     @pytest.mark.parametrize("include_fidelity", [False, True])
     def test_summary_json_bytes_match_json_dump(self, tmp_path, include_fidelity):
