@@ -142,16 +142,16 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 def cmd_pulse(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
     purity = {} if config.epsilon is None else {"epsilon": config.epsilon}
     experiments = run_experiments(
         config.spin_system, config.acquisition, err=config.error_model, **purity
     )
+    # only a set that was read writes anything, its directory included
+    os.makedirs(config.out_dir, exist_ok=True)
     write_spectrum_csv(os.path.join(config.out_dir, "ref.csv"), experiments.reference_spectrum)
     for run in experiments.runs:
         write_spectrum_csv(os.path.join(config.out_dir, f"{run.label.name}.csv"), run.spectrum)
-    include_fidelity = config.error_model.mode != "none"
-    docs = experiments.summary_documents(include_fidelity=include_fidelity)
+    docs = experiments.summary_documents()
     write_summary_json(os.path.join(config.out_dir, "summary.json"), docs)
     for doc in docs:
         line = f"{doc['experiment']}: qubits {doc['qubits']}"

@@ -41,18 +41,23 @@ class ExperimentRun:
 
 @dataclass(frozen=True)
 class ExperimentSet:
-    """The reference plus the four labelled runs, with shared phasing."""
+    """The reference plus the four labelled runs, with shared phasing, and
+    the error model the runs' pulses were simulated under."""
 
     reference_spectrum: Spectrum
     reference_result: ReadoutResult
     phase_deg: float
     runs: tuple[ExperimentRun, ...]
+    error: ErrorModel
 
     @property
     def all_correct(self) -> bool:
         return all(run.correct for run in self.runs)
 
-    def summary_documents(self, include_fidelity: bool = False) -> list[dict]:
+    def summary_documents(self) -> list[dict]:
+        """The reference's and each run's summary document; runs report
+        their fidelity whenever the pulses were not ideal."""
+        include_fidelity = self.error.mode != "none"
         docs = [summary_document("ref", self.reference_result)]
         for run in self.runs:
             docs.append(
@@ -73,27 +78,26 @@ def run_experiments(
 ) -> ExperimentSet:
     """Acquire the reference and the four labelled search experiments.
 
-    The reference is a plain detection of |00><00|; its phase correction and
-    line coefficients calibrate all four experiment spectra.  All five
-    detections share one line basis.  Each label's oracle is compiled once,
-    the f00 oracle doubling as every program's |00> reflection, and the
-    four pulse programs share one propagator table, so each distinct pulse
-    or delay is built once per set.
+    The reference is a plain detection of |00><00|; its phase correction
+    and line coefficients calibrate every spectrum of the set, its own
+    included, so the reference's heights are 1.  All five detections share
+    one line basis.  Each label's oracle is compiled once, the f00 oracle
+    doubling as every program's |00> reflection, and the four pulse
+    programs run on one propagator table for (sys, err), so each distinct
+    pulse or delay is built once per set.
     """
     lines = synthesize_fid(sys, acq)
     ref_spec = detect(sys, pseudo_pure_00(1.0), acq, lines)
     phase = reference_phase(ref_spec)
-    ref_result = classify(ref_spec, phase)
-    ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
+    ref_result = classify(ref_spec, phase, ref_spec)
 
     oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
     table = PropagatorTable(sys, err)
     runs = []
     for label in ALL_LABELS:
-        rho0 = pseudo_pure_00(epsilon)
-        rho = run_sequence(sys, grover_program(label, oracles), rho0, err, table)
+        rho = run_sequence(table, grover_program(label, oracles), pseudo_pure_00(epsilon))
         spec = detect(sys, rho, acq, lines)
-        result = classify(spec, phase, ref_coefficients)
+        result = classify(spec, phase, ref_spec)
         target = basis_state(2, label.index)
         runs.append(ExperimentRun(label, spec, result, fidelity(target, rho)))
-    return ExperimentSet(ref_spec, ref_result, phase, tuple(runs))
+    return ExperimentSet(ref_spec, ref_result, phase, tuple(runs), err)

@@ -302,29 +302,24 @@ def reference_phase(ref: Spectrum) -> float:
     return phase
 
 
-def classify(
-    spec: Spectrum, phase_corr: float, ref_coefficients: tuple[float, ...] | None = None
-) -> ReadoutResult:
+def classify(spec: Spectrum, phase_corr: float, reference: Spectrum) -> ReadoutResult:
     """Phase the four line coefficients and read each qubit off the sign of
     its doublet.
 
-    ``phase_corr`` must come from a reference spectrum of the same
-    configuration.  ``ref_coefficients`` (the reference's phased line
-    coefficients, same line order) normalises the returned heights; without
-    them heights are relative to this spectrum's own mean line magnitude.
-    Raises AmbiguousReadoutError, alike at every spectral width, when a doublet
-    has no |coefficient| above ``MIN_LINE_COEFFICIENT`` or its lines disagree.
+    ``phase_corr`` comes from ``reference``, a spectrum of the same
+    configuration.  Each height is the line's phased coefficient over the
+    reference's (same line order), so the reference read against itself has
+    heights of exactly 1.0.  Raises AmbiguousReadoutError, alike at every
+    spectral width, when a reference line has no |coefficient| above
+    ``MIN_LINE_COEFFICIENT``, or when a doublet has none or its lines disagree.
     """
     rot = np.exp(-1j * math.radians(phase_corr))
     coefficients = np.array([(p.coefficient * rot).real for p in spec.peaks])
-    if ref_coefficients is not None:
-        scale = np.asarray(ref_coefficients, dtype=float)
-        if scale.shape != coefficients.shape or float(np.min(np.abs(scale))) <= 0:
-            raise ValueError("reference coefficients must be four nonzero reals")
-        heights = coefficients / scale
-    else:
-        mean_mag = float(np.mean(np.abs(coefficients)))
-        heights = coefficients / mean_mag if mean_mag > 0 else coefficients
+    scale = np.array([(p.coefficient * rot).real for p in reference.peaks])
+    for p, c in zip(reference.peaks, scale):
+        if abs(c) <= MIN_LINE_COEFFICIENT:
+            raise AmbiguousReadoutError(f"no signal in the reference line at {p.center_hz:g} Hz")
+    heights = coefficients / scale
     values: dict[int, int] = {}
     for spin in (1, 2):
         pair = [k for k, p in enumerate(spec.peaks) if p.assigned_spin == spin]

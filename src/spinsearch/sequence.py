@@ -1,5 +1,6 @@
 """Pulse sequences: event types, a line-based wire format, the compiler that
-turns an oracle label into RF pulses and delays, and the sequence executor.
+turns an oracle label into RF pulses and delays, and the executor that runs a
+sequence on a propagator table, which holds the spin system and error model.
 
 Wire format, one event per line ('#' starts a comment):
 
@@ -287,9 +288,10 @@ class PropagatorTable:
 
     The four programs of a set share most of their pulses and all of their
     delays, so ``run_experiments`` builds one table for the set and passes
-    it to each ``run_sequence`` call.  A table holds the system and error
-    model it was built for; each distinct event's propagator is built once,
-    on first use, checked unitary at 1e-10 and stored read-only.
+    it to each ``run_sequence`` call.  A table is the only holder of the
+    system and error model its sequences run under; each distinct event's
+    propagator is built once, on first use, checked unitary at 1e-10 and
+    stored read-only.
     """
 
     system: SpinSystem
@@ -307,25 +309,14 @@ class PropagatorTable:
         return u
 
 
-def run_sequence(
-    sys: SpinSystem,
-    seq,
-    rho0: np.ndarray,
-    err: ErrorModel = IDEAL,
-    table: PropagatorTable | None = None,
-) -> np.ndarray:
+def run_sequence(table: PropagatorTable, seq, rho0: np.ndarray) -> np.ndarray:
     """Left-fold the sequence over a density matrix: each gradient-free run
     of events conjugates it by the product of its propagators, gradient
     events crush nonzero coherence orders.
 
-    The propagators come from ``table``, shared by every sequence of an
-    experiment set; without one, a table is built for this one run.  Raises
-    ValueError if ``table`` was built for another system or error model.
+    The propagators come from ``table``, which fixes the spin system and the
+    error model; an experiment set shares one table across its programs.
     """
-    if table is None:
-        table = PropagatorTable(sys, err)
-    elif table.system != sys or table.error != err:
-        raise ValueError("propagator table was built for a different system or error model")
     rho = np.asarray(rho0, dtype=complex)
     product = None
     for ev in seq:

@@ -26,7 +26,7 @@ from spinsearch.grover import (
     success_probability,
 )
 from spinsearch.readout import AcquisitionParams, classify, detect, reference_phase
-from spinsearch.sequence import Pulse, compile_oracle, run_sequence
+from spinsearch.sequence import PropagatorTable, Pulse, compile_oracle, run_sequence
 from spinsearch.spins import (
     ErrorModel,
     SpinSystem,
@@ -104,13 +104,13 @@ def test_end_to_end_readout():
     start = time.perf_counter()
     ref_spec = detect(sys_, state_00(), acq)
     phase = reference_phase(ref_spec)
-    ref_result = classify(ref_spec, phase)
+    ref_result = classify(ref_spec, phase, ref_spec)
     assert ref_result.qubits == (0, 0)  # the reference reads as the |00> baseline
-    ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
+    table = PropagatorTable(sys_)
     for epsilon in (1.0, 0.2):
         for label in ALL_LABELS:
-            rho = run_sequence(sys_, search_program(label, sys_), pseudo_pure_00(epsilon))
-            result = classify(detect(sys_, rho, acq), phase, ref_coefficients)
+            rho = run_sequence(table, search_program(label, sys_), pseudo_pure_00(epsilon))
+            result = classify(detect(sys_, rho, acq), phase, ref_spec)
             assert result.qubits == (label.a, label.b)
             for height, peak in zip(result.line_heights, result.peaks):
                 expected_sign = -1 if (label.a, label.b)[peak.assigned_spin - 1] else 1
@@ -176,7 +176,7 @@ def test_physics_invariants():
         assert is_unitary(oracle_matrix(label), 1e-12)
         assert is_unitary(sequence_unitary(sys_, compile_oracle(label, sys_)), 1e-12)
     rho = pseudo_pure_00(0.7)
-    rho = run_sequence(sys_, search_program(ALL_LABELS[2], sys_), rho)
+    rho = run_sequence(PropagatorTable(sys_), search_program(ALL_LABELS[2], sys_), rho)
     assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12
     assert abs(float(np.trace(rho).real) - 1.0) <= 1e-12
 
@@ -229,10 +229,8 @@ def test_error_model_property():
         target = basis_state(2, label.index)
         fidelities = []
         for t_p in grid:
-            rho = run_sequence(
-                sys_, search_program(label, sys_), pseudo_pure_00(1.0),
-                ErrorModel("soft-pulse", float(t_p)),
-            )
+            table = PropagatorTable(sys_, ErrorModel("soft-pulse", float(t_p)))
+            rho = run_sequence(table, search_program(label, sys_), pseudo_pure_00(1.0))
             fidelities.append(fidelity(target, rho))
         for earlier, later in zip(fidelities, fidelities[1:]):
             assert later <= earlier + 1e-9, (
@@ -241,11 +239,8 @@ def test_error_model_property():
 
     ref_spec = detect(sys_, state_00(), acq)
     phase = reference_phase(ref_spec)
-    ref_coefficients = tuple(
-        float(p.coefficient) for p in classify(ref_spec, phase).peaks
-    )
-    err = ErrorModel("soft-pulse", 1e-6)
+    table = PropagatorTable(sys_, ErrorModel("soft-pulse", 1e-6))
     for label in ALL_LABELS:
-        rho = run_sequence(sys_, search_program(label, sys_), pseudo_pure_00(1.0), err)
-        result = classify(detect(sys_, rho, acq), phase, ref_coefficients)
+        rho = run_sequence(table, search_program(label, sys_), pseudo_pure_00(1.0))
+        result = classify(detect(sys_, rho, acq), phase, ref_spec)
         assert result.qubits == (label.a, label.b)

@@ -192,6 +192,8 @@ class TestPulseCommand:
         assert by_name["f10"]["qubits"] == [1, 0]
         assert by_name["f01"]["qubits"] == [0, 1]
         assert "fidelity" not in by_name["f00"]
+        # the reference is read against itself
+        assert [peak["height_rel"] for peak in by_name["ref"]["peaks"]] == [1.0] * 4
 
     def test_reduced_purity_scales_heights(self, capsys, tmp_path, fast_config):
         out_dir = tmp_path / "out"
@@ -294,6 +296,25 @@ class TestPulseCommand:
             codes[width] = run_cli(capsys, "pulse", "--config", str(path), "--epsilon", "1e-12",
                                    "--out", str(tmp_path / f"out{width}"))[0]
         assert codes == {512: EXIT_OK, 4096: EXIT_OK}
+
+    @pytest.mark.parametrize(
+        "config, flags, expected",
+        [
+            ("n_points = 1024\n", ["--epsilon", "-inf"], EXIT_USAGE),
+            ("spectral_width_hz = 100\n", [], EXIT_USAGE),
+            ("n_points = 1024\n", ["--epsilon", "1e-16"], EXIT_CLASSIFICATION),
+        ],
+        ids=["non-finite-purity", "aliasing-width", "no-signal"],
+    )
+    def test_rejected_run_creates_no_directory(self, capsys, tmp_path, config, flags, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        fresh = tmp_path / "fresh"
+        code, out, _ = run_cli(capsys, "pulse", "--config", str(path), *flags,
+                               "--out", str(fresh / "out"))
+        assert code == expected
+        assert out == ""
+        assert not fresh.exists()
 
     def test_env_var_overrides_out_dir(self, capsys, tmp_path, fast_config, monkeypatch):
         env_dir = tmp_path / "env_out"

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from spinsearch import readout
+from spinsearch import experiment, readout
 from spinsearch.core import basis_state, fidelity
 from spinsearch.experiment import run_experiments
 from spinsearch.grover import ALL_LABELS
@@ -19,6 +20,7 @@ from spinsearch.readout import (
     AcquisitionParams,
     AmbiguousReadoutError,
     Peak,
+    ReadoutResult,
     Spectrum,
     classify,
     detect,
@@ -29,7 +31,7 @@ from spinsearch.readout import (
     write_spectrum_csv,
     write_summary_json,
 )
-from spinsearch.sequence import compile_oracle, grover_program, run_sequence
+from spinsearch.sequence import PropagatorTable, compile_oracle, grover_program, run_sequence
 from spinsearch.spins import (
     IDEAL,
     ErrorModel,
@@ -184,15 +186,67 @@ def _reference_experiments(sys, acq, epsilon, err):
     (reference spectrum, phase, reference result, [(spectrum, result, fidelity)])."""
     ref_spec = _reference_exact_detect(sys, state_00(), acq)
     phase = reference_phase(ref_spec)
-    ref_result = classify(ref_spec, phase)
-    ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
+    ref_result = classify(ref_spec, phase, ref_spec)
+    table = PropagatorTable(sys, err)
     runs = []
     for label in ALL_LABELS:
-        rho = run_sequence(sys, reference_grover_program(label, sys), pseudo_pure_00(epsilon), err)
+        rho = run_sequence(table, reference_grover_program(label, sys), pseudo_pure_00(epsilon))
         spec = _reference_exact_detect(sys, rho, acq)
-        result = classify(spec, phase, ref_coefficients)
+        result = classify(spec, phase, ref_spec)
         runs.append((spec, result, fidelity(basis_state(2, label.index), rho)))
     return ref_spec, phase, ref_result, runs
+
+
+def _reference_classify(spec, phase_corr, ref_coefficients=None):
+    """The earlier two-rule calibration that classify must match: heights
+    over ``ref_coefficients`` (the reference's phased coefficients, as the
+    caller read them off the reference's own result) or, without them, over
+    this spectrum's mean line magnitude, which is how the reference was
+    read."""
+    rot = np.exp(-1j * math.radians(phase_corr))
+    coefficients = np.array([(p.coefficient * rot).real for p in spec.peaks])
+    if ref_coefficients is not None:
+        scale = np.asarray(ref_coefficients, dtype=float)
+        if scale.shape != coefficients.shape or float(np.min(np.abs(scale))) <= 0:
+            raise ValueError("reference coefficients must be four nonzero reals")
+        heights = coefficients / scale
+    else:
+        mean_mag = float(np.mean(np.abs(coefficients)))
+        heights = coefficients / mean_mag if mean_mag > 0 else coefficients
+    values = {}
+    for spin in (1, 2):
+        pair = [k for k, p in enumerate(spec.peaks) if p.assigned_spin == spin]
+        strong = [
+            coefficients[k] for k in pair if abs(coefficients[k]) > readout.MIN_LINE_COEFFICIENT
+        ]
+        if not strong:
+            raise AmbiguousReadoutError(f"no signal in the spin-{spin} doublet")
+        signs = {v > 0 for v in strong}
+        if len(signs) > 1:
+            quoted = ", ".join(f"{heights[k]:+.3g}" for k in pair)
+            raise AmbiguousReadoutError(f"spin-{spin} doublet lines disagree in sign ({quoted})")
+        values[spin] = 0 if signs.pop() else 1
+    peaks = tuple(
+        Peak(p.center_hz, float(v), p.assigned_spin) for p, v in zip(spec.peaks, coefficients)
+    )
+    return ReadoutResult(values[1], values[2], tuple(float(h) for h in heights), peaks)
+
+
+def _readout_bits(read, *args):
+    """A readout's outcome with every float as its hex digits, so equal
+    outcomes agree bit for bit: the bits, heights and phased peaks, or the
+    ambiguous-readout message."""
+    try:
+        result = read(*args)
+    except AmbiguousReadoutError as exc:
+        return str(exc)
+    return (
+        result.qubits,
+        tuple(float(h).hex() for h in result.line_heights),
+        tuple(
+            (p.center_hz.hex(), float(p.coefficient).hex(), p.assigned_spin) for p in result.peaks
+        ),
+    )
 
 
 def _assert_same_grid_and_peaks(actual, expected):
@@ -547,8 +601,9 @@ class TestLineIntegrals:
         # line above the floor still has the sign of its signal
         sys, acq = config
         oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
+        table = PropagatorTable(sys, err)
         for label in ALL_LABELS:
-            rho = run_sequence(sys, grover_program(label, oracles), np.eye(4) / 4, err)
+            rho = run_sequence(table, grover_program(label, oracles), np.eye(4) / 4)
             for peak in detect(sys, rho, acq).peaks:
                 assert abs(peak.coefficient) <= readout.MIN_LINE_COEFFICIENT / 2
 
@@ -615,7 +670,7 @@ class TestReferencePhase:
     def test_off_grid_reference_at_minimum_points(self):
         sys = SpinSystem(nu1=70.77, nu2=-88.84, j=6.08)
         spec = detect(sys, state_00(), AcquisitionParams(spectral_width=512.0, n_points=1024))
-        assert classify(spec, reference_phase(spec)).qubits == (0, 0)
+        assert classify(spec, reference_phase(spec), spec).qubits == (0, 0)
 
     def test_no_peaks_raises(self):
         spec = detect(SYS, np.eye(4, dtype=complex) / 4, ACQ)
@@ -635,9 +690,7 @@ class TestReferencePhase:
 
 def _phase_and_reference():
     ref = detect(SYS, state_00(), ACQ)
-    phase = reference_phase(ref)
-    result = classify(ref, phase)
-    return phase, tuple(float(p.coefficient) for p in result.peaks)
+    return reference_phase(ref), ref
 
 
 class TestClassify:
@@ -651,11 +704,6 @@ class TestClassify:
         result = classify(detect(SYS, state_00(), ACQ), phase, ref)
         assert result.qubits == (0, 0)
         assert np.allclose(result.line_heights, 1.0, atol=1e-9)
-
-    def test_self_normalised_heights(self):
-        phase, _ = _phase_and_reference()
-        result = classify(detect(SYS, state_00(), ACQ), phase)
-        assert np.allclose(result.line_heights, 1.0, atol=1e-3)
 
     def test_mixed_state_is_ambiguous(self):
         phase, ref = _phase_and_reference()
@@ -688,10 +736,8 @@ class TestClassify:
         acq = AcquisitionParams(observe_phase=observe)
         ref = detect(SYS, state_00(), acq)
         phase = reference_phase(ref)
-        ref_result = classify(ref, phase)
-        ref_coefficients = tuple(float(p.coefficient) for p in ref_result.peaks)
         for index, expected in ((0, (0, 0)), (1, (0, 1)), (2, (1, 0)), (3, (1, 1))):
-            result = classify(detect(SYS, rho_basis(index), acq), phase, ref_coefficients)
+            result = classify(detect(SYS, rho_basis(index), acq), phase, ref)
             assert result.qubits == expected
 
     @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
@@ -704,9 +750,49 @@ class TestClassify:
         assert np.allclose(result.line_heights, eps, atol=1e-8)
 
     def test_bad_reference_integrals(self):
-        phase, _ = _phase_and_reference()
-        with pytest.raises(ValueError):
-            classify(detect(SYS, state_00(), ACQ), phase, (1.0, 0.0, 1.0, 1.0))
+        phase, ref = _phase_and_reference()
+        silent = tuple(
+            dataclasses.replace(p, coefficient=0j) if i == 1 else p for i, p in enumerate(ref.peaks)
+        )
+        message = rf"^no signal in the reference line at {ref.peaks[1].center_hz:g} Hz$"
+        with pytest.raises(AmbiguousReadoutError, match=message):
+            classify(detect(SYS, state_00(), ACQ), phase, Spectrum(ref.freq_hz, ref.values, silent))
+
+
+    @given(
+        configurations(j_max=20.0, t2_max=10.0),
+        error_models(),
+        st.floats(-17.0, 0.0).map(lambda x: 10**x),
+    )
+    def test_set_reads_as_the_earlier_calibration(self, config, err, epsilon):
+        # every spectrum of a set is read against the set's reference
+        # spectrum; the runs' outcomes are those of the earlier calibration
+        # bit for bit, ambiguous ones included, and the reference's heights
+        # are exactly 1
+        sys, acq = config
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return classify(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "classify", recording)
+            with contextlib.suppress(AmbiguousReadoutError):
+                run_experiments(sys, acq, epsilon, err)
+        (ref_spec, phase, reference), *runs = calls
+        assert reference is ref_spec
+        ref_result = classify(ref_spec, phase, ref_spec)
+        earlier = _reference_classify(ref_spec, phase)
+        assert ref_result.line_heights == (1.0, 1.0, 1.0, 1.0)
+        assert ref_result.qubits == earlier.qubits == (0, 0)
+        assert ref_result.peaks == earlier.peaks
+        ref_coefficients = tuple(float(p.coefficient) for p in earlier.peaks)
+        for spec, run_phase, reference in runs:
+            assert reference is ref_spec and run_phase == phase
+            assert _readout_bits(classify, spec, phase, ref_spec) == _readout_bits(
+                _reference_classify, spec, phase, ref_coefficients
+            )
 
 
 _WRITERS = pytest.mark.parametrize(
@@ -780,8 +866,9 @@ class TestExports:
 
     @pytest.mark.parametrize("include_fidelity", [False, True])
     def test_summary_json_bytes_match_json_dump(self, tmp_path, include_fidelity):
-        experiments = run_experiments(SYS, ACQ, 0.8, ErrorModel("soft-pulse", 5e-5))
-        docs = experiments.summary_documents(include_fidelity=include_fidelity)
+        # a set reports fidelities exactly when its pulses were not ideal
+        err = ErrorModel("soft-pulse", 5e-5) if include_fidelity else IDEAL
+        docs = run_experiments(SYS, ACQ, 0.8, err).summary_documents()
         assert all(("fidelity" in doc) == include_fidelity for doc in docs[1:])
         written, reference = tmp_path / "summary.json", tmp_path / "reference.json"
         write_summary_json(str(written), docs)

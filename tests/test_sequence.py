@@ -321,15 +321,16 @@ class TestOracleCompiler:
 class TestRunSequence:
     def test_empty_sequence_is_identity(self):
         rho0 = pseudo_pure_00(0.7)
-        assert np.array_equal(run_sequence(SpinSystem(), PulseSequence(()), rho0), rho0)
+        table = PropagatorTable(SpinSystem())
+        assert np.array_equal(run_sequence(table, PulseSequence(()), rho0), rho0)
 
     def test_gradient_event_crushes(self):
         from spinsearch.core import coherence_order_matrix
 
-        sys = SpinSystem()
-        pulsed = run_sequence(sys, PulseSequence((Pulse("both", 90.0, 0.0),)), state_00())
+        table = PropagatorTable(SpinSystem())
+        pulsed = run_sequence(table, PulseSequence((Pulse("both", 90.0, 0.0),)), state_00())
         crushed = run_sequence(
-            sys, PulseSequence((Pulse("both", 90.0, 0.0), Gradient())), state_00()
+            table, PulseSequence((Pulse("both", 90.0, 0.0), Gradient())), state_00()
         )
         orders = coherence_order_matrix(2)
         assert np.max(np.abs(crushed[orders != 0])) == 0.0
@@ -338,18 +339,20 @@ class TestRunSequence:
     @pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
     def test_full_program_reproduces_gate_level(self, label):
         sys = SpinSystem()
-        rho = run_sequence(sys, search_program(label, sys), pseudo_pure_00(1.0))
+        rho = run_sequence(PropagatorTable(sys), search_program(label, sys), pseudo_pure_00(1.0))
         assert fidelity(grover2_circuit(label), rho) >= 1 - 1e-9
 
     def test_f10_program_explicit(self):
         sys = SpinSystem()
-        rho = run_sequence(sys, search_program(OracleLabel(1, 0), sys), pseudo_pure_00(1.0))
+        rho = run_sequence(
+            PropagatorTable(sys), search_program(OracleLabel(1, 0), sys), pseudo_pure_00(1.0)
+        )
         assert fidelity(basis_state(2, 2), rho) >= 1 - 1e-9
 
     def test_half_purity_diagonal(self):
         sys = SpinSystem()
         label = OracleLabel(1, 0)
-        rho = run_sequence(sys, search_program(label, sys), pseudo_pure_00(0.5))
+        rho = run_sequence(PropagatorTable(sys), search_program(label, sys), pseudo_pure_00(0.5))
         expected = np.full(4, (1 - 0.5) / 4)
         expected[label.index] += 0.5
         assert np.allclose(np.diag(rho).real, expected, atol=1e-12)
@@ -357,10 +360,10 @@ class TestRunSequence:
     @given(st.floats(0.05, 1.0, allow_nan=False))
     def test_linear_in_purity(self, eps):
         sys = SpinSystem()
-        label = OracleLabel(0, 1)
-        program = search_program(label, sys)
-        diag_full = np.diag(run_sequence(sys, program, pseudo_pure_00(1.0))).real
-        diag_eps = np.diag(run_sequence(sys, program, pseudo_pure_00(eps))).real
+        table = PropagatorTable(sys)
+        program = search_program(OracleLabel(0, 1), sys)
+        diag_full = np.diag(run_sequence(table, program, pseudo_pure_00(1.0))).real
+        diag_eps = np.diag(run_sequence(table, program, pseudo_pure_00(eps))).real
         predicted = (1 - eps) * np.full(4, 0.25) + eps * diag_full
         assert np.max(np.abs(diag_eps - predicted)) <= 1e-10
 
@@ -428,14 +431,14 @@ class TestPropagatorFold:
                              ids=["ideal", "soft"])
     def test_run_sequence_matches_per_event_fold(self, events, err):
         rho0 = random_density(7)
-        got = run_sequence(FOLD_SYSTEM, events, rho0, err)
+        got = run_sequence(PropagatorTable(FOLD_SYSTEM, err), events, rho0)
         want = per_event_fold(FOLD_SYSTEM, events, rho0, err)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @given(st.lists(fold_events, max_size=30), fold_errors)
     def test_random_lists_match_per_event_fold(self, events, err):
         rho0 = random_density(3)
-        got = run_sequence(FOLD_SYSTEM, events, rho0, err)
+        got = run_sequence(PropagatorTable(FOLD_SYSTEM, err), events, rho0)
         assert np.max(np.abs(got - per_event_fold(FOLD_SYSTEM, events, rho0, err))) <= 1e-12
         unitary_events = [ev for ev in events if not isinstance(ev, Gradient)]
         got_u = sequence_unitary(FOLD_SYSTEM, unitary_events, err)
@@ -452,13 +455,14 @@ class TestPropagatorFold:
 
         monkeypatch.setattr(sequence, "event_operator", counting)
         program = search_program(OracleLabel(1, 0), FOLD_SYSTEM)
-        run_sequence(FOLD_SYSTEM, program, pseudo_pure_00(1.0), ErrorModel("soft-pulse", 1e-4))
+        table = PropagatorTable(FOLD_SYSTEM, ErrorModel("soft-pulse", 1e-4))
+        run_sequence(table, program, pseudo_pure_00(1.0))
         assert len(built) == len(set(built)) == len(set(program.events)) < len(program)
 
     def test_non_unitary_propagator_rejected(self, monkeypatch):
         monkeypatch.setattr(sequence, "event_operator", lambda sys, ev, err: 2 * np.eye(4))
         with pytest.raises(ValueError, match="not unitary"):
-            run_sequence(FOLD_SYSTEM, [P1], pseudo_pure_00(1.0))
+            run_sequence(PropagatorTable(FOLD_SYSTEM), [P1], pseudo_pure_00(1.0))
         with pytest.raises(ValueError, match="not unitary"):
             sequence_unitary(FOLD_SYSTEM, [P1])
 
@@ -494,7 +498,8 @@ class TestPropagatorTable:
                 run_experiments(sys, AcquisitionParams(), eps, err)
         assume(runs)
         for label, rho in zip(ALL_LABELS, runs):
-            want = run_sequence(sys, reference_grover_program(label, sys), pseudo_pure_00(eps), err)
+            program = reference_grover_program(label, sys)
+            want = run_sequence(PropagatorTable(sys, err), program, pseudo_pure_00(eps))
             assert np.array_equal(rho, want)
 
     def test_set_builds_each_distinct_event_once(self, monkeypatch):
@@ -520,9 +525,9 @@ class TestPropagatorTable:
             compiled.append(label)
             return original_compile(label, sys)
 
-        def recording(sys, seq, *args):
+        def recording(table, seq, rho0):
             programs.append(seq)
-            return original_run(sys, seq, *args)
+            return original_run(table, seq, rho0)
 
         for module in (sequence, experiment):
             monkeypatch.setattr(module, "compile_oracle", counting)
@@ -535,20 +540,9 @@ class TestPropagatorTable:
         for label, program in zip(ALL_LABELS, programs):
             assert program == reference_grover_program(label, FOLD_SYSTEM)
 
-    def test_foreign_table_rejected(self):
-        table = PropagatorTable(FOLD_SYSTEM, SOFT)
-        rho0 = pseudo_pure_00(1.0)
-        with pytest.raises(ValueError, match="different system or error model"):
-            run_sequence(SpinSystem(), [P1], rho0, SOFT, table)
-        with pytest.raises(ValueError, match="different system or error model"):
-            run_sequence(FOLD_SYSTEM, [P1], rho0, IDEAL, table)
-        # equal values, not the same objects, are what count
-        twin = SpinSystem(FOLD_SYSTEM.nu1, FOLD_SYSTEM.nu2, FOLD_SYSTEM.j)
-        run_sequence(twin, [P1], rho0, ErrorModel("soft-pulse", 1e-4), table)
-
     def test_stored_propagators_read_only(self):
         table = PropagatorTable(FOLD_SYSTEM, SOFT)
-        run_sequence(FOLD_SYSTEM, [P1, P2, TAU, GRAD, PB, P1], random_density(5), SOFT, table)
+        run_sequence(table, [P1, P2, TAU, GRAD, PB, P1], random_density(5))
         assert set(table.built) == {P1, P2, TAU, PB}
         for u in table.built.values():
             with pytest.raises(ValueError, match="read-only"):
@@ -590,10 +584,10 @@ class TestErrorModelExecution:
     def test_soft_model_changes_result(self):
         sys = SpinSystem()
         label = OracleLabel(0, 1)
-        ideal_rho = run_sequence(sys, search_program(label, sys), pseudo_pure_00(1.0))
-        soft_rho = run_sequence(
-            sys, search_program(label, sys), pseudo_pure_00(1.0), ErrorModel("soft-pulse", 1e-3)
-        )
+        program = search_program(label, sys)
+        ideal_rho = run_sequence(PropagatorTable(sys), program, pseudo_pure_00(1.0))
+        soft_table = PropagatorTable(sys, ErrorModel("soft-pulse", 1e-3))
+        soft_rho = run_sequence(soft_table, program, pseudo_pure_00(1.0))
         assert np.max(np.abs(ideal_rho - soft_rho)) > 1e-3
 
     def test_event_level_soft_marker_wins(self):
@@ -619,10 +613,8 @@ class TestErrorModelExecution:
         target = basis_state(2, label.index)
         fids = []
         for tp in np.geomspace(1e-6, 5e-4, 5):
-            rho = run_sequence(
-                sys, search_program(label, sys), pseudo_pure_00(1.0),
-                ErrorModel("soft-pulse", float(tp)),
-            )
+            table = PropagatorTable(sys, ErrorModel("soft-pulse", float(tp)))
+            rho = run_sequence(table, search_program(label, sys), pseudo_pure_00(1.0))
             fids.append(fidelity(target, rho))
         assert all(b <= a + 1e-9 for a, b in zip(fids, fids[1:]))
         assert fids[0] > 0.999
