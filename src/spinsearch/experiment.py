@@ -78,26 +78,31 @@ def run_experiments(
 ) -> ExperimentSet:
     """Acquire the reference and the four labelled search experiments.
 
-    The reference is a plain detection of |00><00|; its phase correction
-    and line coefficients calibrate every spectrum of the set, its own
-    included, so the reference's heights are 1.  All five detections share
-    one line basis.  Each label's oracle is compiled once, the f00 oracle
-    doubling as every program's |00> reflection, and the four pulse
-    programs run on one propagator table for (sys, err), so each distinct
-    pulse or delay is built once per set.
+    Each label's oracle is compiled once, the f00 oracle doubling as every
+    program's |00> reflection, and the four pulse programs run on one
+    propagator table for (sys, err), so each distinct pulse or delay is
+    built once per set.  One detection then renders the reference, a plain
+    |00><00|, and the four runs' spectra together from one line basis.  The
+    reference's phase correction and line coefficients calibrate every
+    spectrum of the set, its own included, so the reference's heights are 1.
     """
     lines = synthesize_fid(sys, acq)
-    ref_spec = detect(sys, pseudo_pure_00(1.0), acq, lines)
-    phase = reference_phase(ref_spec)
-    ref_result = classify(ref_spec, phase, ref_spec)
-
     oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
     table = PropagatorTable(sys, err)
-    runs = []
-    for label in ALL_LABELS:
-        rho = run_sequence(table, grover_program(label, oracles), pseudo_pure_00(epsilon))
-        spec = detect(sys, rho, acq, lines)
-        result = classify(spec, phase, ref_spec)
-        target = basis_state(2, label.index)
-        runs.append(ExperimentRun(label, spec, result, fidelity(target, rho)))
-    return ExperimentSet(ref_spec, ref_result, phase, tuple(runs), err)
+    rhos = [
+        run_sequence(table, grover_program(label, oracles), pseudo_pure_00(epsilon))
+        for label in ALL_LABELS
+    ]
+    ref_spec, *specs = detect(sys, [pseudo_pure_00(1.0), *rhos], acq, lines)
+    phase = reference_phase(ref_spec)
+    ref_result = classify(ref_spec, phase, ref_spec)
+    runs = tuple(
+        ExperimentRun(
+            label,
+            spec,
+            classify(spec, phase, ref_spec),
+            fidelity(basis_state(2, label.index), rho),
+        )
+        for label, rho, spec in zip(ALL_LABELS, rhos, specs)
+    )
+    return ExperimentSet(ref_spec, ref_result, phase, runs, err)

@@ -8,12 +8,14 @@ absorption pair reads as qubit value 0 and a negative pair as 1.
 
 The signal is linear in rho and has four known lines, so its spectrum (the
 fftshifted DFT of the FID with its first point halved) is a combination of
-four line templates, each the closed-form DFT of one damped line.  The
-templates and the frequency grid (the line basis, built by
-``synthesize_fid``) depend only on the spin system and the acquisition.  An
-experiment set builds the basis once; each detection is a 4-term sum of
-templates, with no FID or FFT, and the readout reads each line by its
-coefficient, which no acquisition setting scales.
+four line templates, each the closed-form DFT of one damped line.  The line
+basis (built by ``synthesize_fid``) holds the frequency grid and each
+template's closed-form constants; it depends only on the spin system and
+the acquisition.  ``detect`` takes an experiment set's states together and
+renders all their spectra in one pass over cache-sized stripes, evaluating
+each template's stripe once for every spectrum, with no FID, no FFT and no
+full-size template.  The readout reads each line by its coefficient, which
+no acquisition setting scales.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import secrets
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +41,10 @@ OBSERVE_2 = np.kron(IDENTITY_2, RAISING)
 # programs of 2700 random valid systems, ideal and with t_p in [1e-6, 2e-4] s.
 MIN_LINE_COEFFICIENT = 1e-15
 
-# detect combines the templates this many points at a time: four template
-# stripes, the output stripe and one scratch stripe of complex values come to
-# 6 x 256 KiB = 1.5 MiB, inside a 2 MiB per-core L2 cache
+# detect renders the spectra this many points at a time: four template
+# stripes, one complex and one real scratch stripe come to
+# 4 x 256 KiB + 256 KiB + 128 KiB = 1.375 MiB, inside a 2 MiB per-core L2
+# cache, beside the output stripe each spectrum receives in turn
 _STRIPE = 16384
 
 
@@ -128,20 +132,27 @@ def line_centers(sys: SpinSystem) -> tuple[tuple[float, int], ...]:
 @dataclass(frozen=True, eq=False)
 class LineBasis:
     """The rho-independent part of detection for one spin system and
-    acquisition, shared by every detection of an experiment set.
+    acquisition, built once for an experiment set.
 
     ``couplings`` lists the (i, j, O_ji) coherences the observable picks up,
-    in detection order; ``templates`` holds, in the same order, the
-    fftshifted spectrum of each coherence's damped line with unit
-    coefficient (see ``synthesize_fid``).  ``line_couplings`` gives, for each
-    line in ``line_centers`` order, the index of its coherence in
+    in detection order.  The template of each coherence (the fftshifted
+    spectrum of its damped line with unit coefficient, see
+    ``synthesize_fid``) is held in closed form, never as an N-point array:
+    ``line_constants`` gives, in the same order, each line's roll p % N,
+    rotation exp(i pi delta / N) and numerator 1 - a**N, and ``damping``
+    the (2 exp(-gamma), -expm1(-gamma)) all four lines share.  ``grid``
+    holds sin + i cos of pi q / N on the fftshifted grid q = -N/2 .. N/2 - 1
+    and ``freq_hz`` the frequency of each point.  ``line_couplings`` gives,
+    for each line in ``line_centers`` order, the index of its coherence in
     ``couplings``.  Every array is read-only.
     """
 
     system: SpinSystem
     acquisition: AcquisitionParams
     couplings: tuple[tuple[int, int, np.complex128], ...]
-    templates: tuple[np.ndarray, ...]
+    line_constants: tuple[tuple[int, complex, complex], ...]
+    damping: tuple[float, float]
+    grid: np.ndarray
     freq_hz: np.ndarray
     line_couplings: tuple[int, ...]
 
@@ -154,10 +165,10 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     rate 1/T2, so sample n of its line is a**n with
     a = exp((-i 2 pi (E_i - E_j) - 1/T2) * dwell).  With the first point
     halved, the line's N-point DFT is T[m] = (1 - a**N) / (1 - a w**m) - 1/2,
-    w = exp(-i 2 pi / N), which ``_line_template`` evaluates without
-    cancellation for any T2.  The templates and the frequency grid depend
-    only on (sys, acq), so an experiment set builds them once and each
-    detection only combines them.  Raises ValueError if the spectral width
+    w = exp(-i 2 pi / N).  The basis holds the grid and each line's
+    constants from which ``_template_stripe`` evaluates any stretch of T
+    without cancellation for any T2; it depends only on (sys, acq), so an
+    experiment set builds it once.  Raises ValueError if the spectral width
     would alias the doublets.
     """
     limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
@@ -178,57 +189,71 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     np.negative(sines[half:0:-1], out=grid.real[:half])
     grid.imag[half:] = sines[half:0:-1]
     grid.imag[:half] = sines[:half]
-    scratch = np.empty(n)  # reused by every template
     # a rate below the smallest normal float leaves every exp(-n gamma) at
     # 1.0, and raising it there keeps each template's denominator nonzero
     gamma = max(acq.dwell / sys.t2, np.finfo(float).tiny)
-    templates = tuple(
-        _read_only(_line_template((levels[j] - levels[i]) * acq.dwell * n, gamma, grid, scratch))
-        for i, j, _ in couplings
+    line_constants = tuple(
+        _line_constants((levels[j] - levels[i]) * acq.dwell * n, gamma, n) for i, j, _ in couplings
     )
+    damping = (2 * math.exp(-gamma), -math.expm1(-gamma))
     # fftshift(fftfreq(n, dwell)) in one step: the same integers times 1/(n dwell)
     freq = np.arange(-half, half) * (1.0 / (n * acq.dwell))
     # coherence (i, j) sits at E_j - E_i; line_centers ascends in frequency too
     line_couplings = tuple(np.argsort([levels[j] - levels[i] for i, j, _ in couplings]).tolist())
-    return LineBasis(sys, acq, couplings, templates, _read_only(freq), line_couplings)
+    return LineBasis(
+        sys, acq, couplings, line_constants, damping, _read_only(grid), _read_only(freq),
+        line_couplings,
+    )
 
 
-def _line_template(
-    position: float, gamma: float, grid: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """The fftshifted DFT of the line a**n, n = 0 .. N-1, first point halved,
-    where a = exp(i 2 pi position / N - gamma) puts the line ``position``
-    bins from zero frequency and damps it by ``gamma`` per sample.
+def _line_constants(position: float, gamma: float, n: int) -> tuple[int, complex, complex]:
+    """The constants of the template of the line a**n, n = 0 .. N-1, where
+    a = exp(i 2 pi position / N - gamma) puts the line ``position`` bins
+    from zero frequency and damps it by ``gamma`` per sample.
 
     With theta = pi (q - position) / N at grid point q,
     1 - a exp(-i 2 pi q / N) = -expm1(-gamma)
                                + 2 exp(-gamma) sin(theta) (sin(theta) + i cos(theta)),
     and 1 - a**N is the same with N gamma and theta = -pi delta, where
-    position = p + delta, p integer and |delta| <= 1/2.  ``grid`` holds
-    sin + i cos of pi q / N; rolling it by p and rotating it by pi delta / N
-    gives sin(theta) + i cos(theta) to the last bits next to the line, where
-    1 - a w**m would lose every digit once T2 is long.  ``scratch`` is a
-    float buffer of length N.
+    position = p + delta, p integer and |delta| <= 1/2.  Rolling the grid
+    (sin + i cos of pi q / N) by p and rotating it by pi delta / N gives
+    sin(theta) + i cos(theta) to the last bits next to the line, where
+    1 - a w**m would lose every digit once T2 is long.  Returns the roll
+    p % N, the rotation exp(i pi delta / N) and the numerator 1 - a**N.
     """
-    n = grid.size
     p = round(position)
-    delta = position - p
-    shift = p % n
-    angle = math.pi * delta
+    angle = math.pi * (position - p)
     sin_end = math.sin(-angle)
     numerator = -math.expm1(-n * gamma) + 2 * math.exp(-n * gamma) * sin_end * complex(
         sin_end, math.cos(angle)
     )
-    template = np.empty(n, dtype=complex)
-    rotation = complex(math.cos(angle / n), math.sin(angle / n))
-    np.multiply(grid[: n - shift], rotation, out=template[shift:])
-    np.multiply(grid[n - shift :], rotation, out=template[:shift])
-    np.multiply(template.real, 2 * math.exp(-gamma), out=scratch)
-    template *= scratch
-    template += -math.expm1(-gamma)
-    np.divide(numerator, template, out=template)
-    template -= 0.5
-    return template
+    return p % n, complex(math.cos(angle / n), math.sin(angle / n)), numerator
+
+
+def _template_stripe(
+    lines: LineBasis, k: int, start: int, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Write points start .. start + out.size - 1 of template k into ``out``.
+
+    The rolled, rotated grid gives sin(theta) + i cos(theta) (the roll may
+    wrap inside the stripe); the template is then
+    numerator / (-expm1(-gamma) + 2 exp(-gamma) sin(theta) (sin(theta) + i cos(theta))) - 1/2.
+    Every operation is elementwise, so a stripe holds the same bits as the
+    same points of the whole-array template.  ``scratch`` is a float buffer
+    of out's length.
+    """
+    shift, rotation, numerator = lines.line_constants[k]
+    gain, floor = lines.damping
+    grid = lines.grid
+    source = (start - shift) % grid.size
+    head = min(out.size, grid.size - source)
+    np.multiply(grid[source : source + head], rotation, out=out[:head])
+    np.multiply(grid[: out.size - head], rotation, out=out[head:])
+    np.multiply(out.real, gain, out=scratch)
+    out *= scratch
+    out += floor
+    np.divide(numerator, out, out=out)
+    out -= 0.5
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -237,45 +262,68 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def detect(
-    sys: SpinSystem, rho: np.ndarray, acq: AcquisitionParams, lines: LineBasis | None = None
-) -> Spectrum:
-    """Crush gradients, fire the observe pulse, return the FID's spectrum.
+    sys: SpinSystem,
+    rhos: Sequence[np.ndarray],
+    acq: AcquisitionParams,
+    lines: LineBasis | None = None,
+) -> tuple[Spectrum, ...]:
+    """Crush gradients, fire the observe pulse and return the FID's spectrum
+    for each density matrix of ``rhos``, in order (``()`` for none).
 
-    The spectrum is the 4-term combination of the templates of the line
+    Each spectrum is the 4-term combination of the templates of the line
     basis ``lines`` with coefficients c = O_ji * rho_ij; without ``lines``
-    the basis is built for this one detection.  The combination runs in
-    ``_STRIPE``-point stripes that stay in cache, with one scratch stripe
-    and no full-size temporaries; its values are bit-identical to the
-    whole-array sum of the products c * template.  The returned values are
-    a new array; the spectrum shares the basis's read-only frequency grid.
-    Each peak carries its line's c, which the spectral width and the grid do
-    not scale.  Raises ValueError if the spectral width would alias the
-    doublets or ``lines`` was built for another system or acquisition.
+    the basis is built for this call.  All spectra are rendered in one pass
+    over ``_STRIPE``-point stripes: each template's stripe is evaluated from
+    its closed form into a cache-sized buffer and added into every output,
+    so no full-size template or temporary is built.  The values are
+    bit-identical to the whole-array sum T0 * c0 + c1 * T1 + c2 * T2 + c3 * T3.
+    Each spectrum's values are a new array of their own; every spectrum
+    shares the basis's read-only frequency grid.  Each peak carries its
+    line's c, which the spectral width and the grid do not scale.  Raises
+    ValueError if the spectral width would alias the doublets or ``lines``
+    was built for another system or acquisition.
     """
     if lines is None:
         lines = synthesize_fid(sys, acq)
     elif lines.system != sys or lines.acquisition != acq:
         raise ValueError("line basis was built for a different system or acquisition")
-    rho = gradient_crush(np.asarray(rho, dtype=complex))
     u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
-    rho = u_obs @ rho @ u_obs.conj().T
-    coefficients = [o_ji * rho[i, j] for i, j, o_ji in lines.couplings]
-    values = np.empty(acq.n_points, dtype=complex)
-    scratch = np.empty(min(acq.n_points, _STRIPE), dtype=complex)
-    for start in range(0, acq.n_points, _STRIPE):
-        stripe = slice(start, start + _STRIPE)
-        out = values[stripe]
-        np.multiply(lines.templates[0][stripe], coefficients[0], out=out)
-        for c, template in zip(coefficients[1:], lines.templates[1:]):
-            # the coefficient first, as in c * template: the operand order
-            # changes the last bits of numpy's complex product
-            np.multiply(c, template[stripe], out=scratch)
-            out += scratch
-    peaks = tuple(
-        Peak(center, complex(coefficients[k]), spin)
-        for (center, spin), k in zip(line_centers(sys), lines.line_couplings)
+    u_obs_dagger = u_obs.conj().T
+    coefficients = []
+    for rho in rhos:
+        rho = u_obs @ gradient_crush(np.asarray(rho, dtype=complex)) @ u_obs_dagger
+        coefficients.append([o_ji * rho[i, j] for i, j, o_ji in lines.couplings])
+    if not coefficients:
+        return ()
+    n = acq.n_points
+    size = min(n, _STRIPE)
+    templates = [np.empty(size, dtype=complex) for _ in lines.couplings]
+    scratch = np.empty(size, dtype=complex)
+    real_scratch = np.empty(size)
+    spectra = [np.empty(n, dtype=complex) for _ in coefficients]
+    for start in range(0, n, size):
+        for k, template in enumerate(templates):
+            _template_stripe(lines, k, start, template, real_scratch)
+        for values, (c0, *rest) in zip(spectra, coefficients):
+            out = values[start : start + size]
+            np.multiply(templates[0], c0, out=out)
+            for c, template in zip(rest, templates[1:]):
+                # the coefficient first, as in c * template: the operand order
+                # changes the last bits of numpy's complex product
+                np.multiply(c, template, out=scratch)
+                out += scratch
+    centers = line_centers(sys)
+    return tuple(
+        Spectrum(
+            lines.freq_hz,
+            values,
+            tuple(
+                Peak(center, complex(c[k]), spin)
+                for (center, spin), k in zip(centers, lines.line_couplings)
+            ),
+        )
+        for values, c in zip(spectra, coefficients)
     )
-    return Spectrum(lines.freq_hz, values, peaks)
 
 
 def reference_phase(ref: Spectrum) -> float:

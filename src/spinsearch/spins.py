@@ -65,7 +65,8 @@ class SpinSystem:
 class ErrorModel:
     """Pulse imperfection model.
 
-    mode 'none' treats every pulse as an instantaneous rotation.  mode
+    mode 'none' treats every pulse as an instantaneous rotation and takes
+    no t_p (it must be 0, so every such model equals ``IDEAL``).  mode
     'soft-pulse' gives single-spin pulses a finite duration t_p with RF
     amplitude flip/(360 * t_p) Hz, so the spectator spin evolves (and the
     coupling acts) during the pulse; pulses addressed to both spins model
@@ -82,6 +83,8 @@ class ErrorModel:
             raise ValueError("t_p must be finite")
         if self.mode == "soft-pulse" and self.t_p <= 0:
             raise ValueError("soft-pulse mode requires t_p > 0")
+        if self.mode == "none" and self.t_p != 0:
+            raise ValueError("mode 'none' takes no t_p")
 
 
 IDEAL = ErrorModel()

@@ -102,7 +102,7 @@ def test_end_to_end_readout():
     sys_ = SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0)
     acq = AcquisitionParams(spectral_width=1024.0, n_points=131072)
     start = time.perf_counter()
-    ref_spec = detect(sys_, state_00(), acq)
+    ref_spec = detect(sys_, [state_00()], acq)[0]
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase, ref_spec)
     assert ref_result.qubits == (0, 0)  # the reference reads as the |00> baseline
@@ -110,7 +110,7 @@ def test_end_to_end_readout():
     for epsilon in (1.0, 0.2):
         for label in ALL_LABELS:
             rho = run_sequence(table, search_program(label, sys_), pseudo_pure_00(epsilon))
-            result = classify(detect(sys_, rho, acq), phase, ref_spec)
+            result = classify(detect(sys_, [rho], acq)[0], phase, ref_spec)
             assert result.qubits == (label.a, label.b)
             for height, peak in zip(result.line_heights, result.peaks):
                 expected_sign = -1 if (label.a, label.b)[peak.assigned_spin - 1] else 1
@@ -204,12 +204,13 @@ def test_physics_invariants():
     rho_a = state_00()
     rho_b = pseudo_pure_00(0.4)
     mix = 0.3 * rho_a + 0.7 * rho_b
-    blended = detect(sys_, mix, acq).values
-    separate = 0.3 * detect(sys_, rho_a, acq).values + 0.7 * detect(sys_, rho_b, acq).values
+    blended = detect(sys_, [mix], acq)[0].values
+    spec_a, spec_b = detect(sys_, [rho_a, rho_b], acq)
+    separate = 0.3 * spec_a.values + 0.7 * spec_b.values
     assert float(np.max(np.abs(blended - separate))) <= 1e-10
 
     # doublet positions at nu_i +/- J/2 within one grid step
-    spec = detect(sys_, state_00(), acq)
+    spec = detect(sys_, [state_00()], acq)[0]
     magnitude = np.abs(spec.values)
     for center in (sys_.nu1 - sys_.j / 2, sys_.nu1 + sys_.j / 2,
                    sys_.nu2 - sys_.j / 2, sys_.nu2 + sys_.j / 2):
@@ -237,10 +238,10 @@ def test_error_model_property():
                 f"{label.name}: fidelity rose along the grid: {fidelities}"
             )
 
-    ref_spec = detect(sys_, state_00(), acq)
+    ref_spec = detect(sys_, [state_00()], acq)[0]
     phase = reference_phase(ref_spec)
     table = PropagatorTable(sys_, ErrorModel("soft-pulse", 1e-6))
     for label in ALL_LABELS:
         rho = run_sequence(table, search_program(label, sys_), pseudo_pure_00(1.0))
-        result = classify(detect(sys_, rho, acq), phase, ref_spec)
+        result = classify(detect(sys_, [rho], acq)[0], phase, ref_spec)
         assert result.qubits == (label.a, label.b)

@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from spinsearch.spins import (
     IDEAL,
     ErrorModel,
     SpinSystem,
+    energies,
     gradient_crush,
     ideal_pulse,
     pseudo_pure_00,
@@ -148,16 +151,71 @@ def _reference_exact_detect(sys, rho, acq):
     return Spectrum(spec.freq_hz, spec.values, peaks)
 
 
-def _reference_combination(lines, rho, acq):
-    """detect's values as whole-array products (what the stripe loop
-    replaced): T0 * c0, then c * T added for each other template, with
-    c = O_ji * rho_ij after the crush and the observe pulse."""
-    rho = _observed(rho, acq)
-    coefficients = [o_ji * rho[i, j] for i, j, o_ji in lines.couplings]
-    values = np.multiply(lines.templates[0], coefficients[0])
-    for c, template in zip(coefficients[1:], lines.templates[1:]):
-        values += c * template
-    return values
+def _line_template(position, gamma, grid, scratch):
+    """The fftshifted DFT of the line a**n, n = 0 .. N-1, first point halved,
+    where a = exp(i 2 pi position / N - gamma), evaluated over the whole
+    array (what detect's stripes replaced).
+
+    With theta = pi (q - position) / N at grid point q,
+    1 - a exp(-i 2 pi q / N) = -expm1(-gamma)
+                               + 2 exp(-gamma) sin(theta) (sin(theta) + i cos(theta)),
+    and 1 - a**N is the same with N gamma and theta = -pi delta, where
+    position = p + delta, p integer and |delta| <= 1/2.  ``grid`` holds
+    sin + i cos of pi q / N; rolling it by p and rotating it by pi delta / N
+    gives sin(theta) + i cos(theta).  ``scratch`` is a float buffer of
+    length N.
+    """
+    n = grid.size
+    p = round(position)
+    delta = position - p
+    shift = p % n
+    angle = math.pi * delta
+    sin_end = math.sin(-angle)
+    numerator = -math.expm1(-n * gamma) + 2 * math.exp(-n * gamma) * sin_end * complex(
+        sin_end, math.cos(angle)
+    )
+    template = np.empty(n, dtype=complex)
+    rotation = complex(math.cos(angle / n), math.sin(angle / n))
+    np.multiply(grid[: n - shift], rotation, out=template[shift:])
+    np.multiply(grid[n - shift :], rotation, out=template[:shift])
+    np.multiply(template.real, 2 * math.exp(-gamma), out=scratch)
+    template *= scratch
+    template += -math.expm1(-gamma)
+    np.divide(numerator, template, out=template)
+    template -= 0.5
+    return template
+
+
+def _reference_templates(sys, acq):
+    """The four full-size line templates on the basis's grid, in the basis's
+    coupling order, each built over the whole array by _line_template."""
+    lines = synthesize_fid(sys, acq)
+    levels = energies(sys)
+    n = acq.n_points
+    gamma = max(acq.dwell / sys.t2, np.finfo(float).tiny)
+    scratch = np.empty(n)
+    return [
+        _line_template((levels[j] - levels[i]) * acq.dwell * n, gamma, lines.grid, scratch)
+        for i, j, _ in lines.couplings
+    ]
+
+
+def _reference_combinations(sys, rhos, acq):
+    """detect's values for each rho as whole-array products of full-size
+    templates (what the fused stripe pass replaced): T0 * c0, then c * T
+    added for each other template, with c = O_ji * rho_ij after the crush
+    and the observe pulse."""
+    couplings = synthesize_fid(sys, acq).couplings
+    templates = _reference_templates(sys, acq)
+    combinations = []
+    for rho in rhos:
+        rho = _observed(rho, acq)
+        coefficients = [o_ji * rho[i, j] for i, j, o_ji in couplings]
+        values = np.multiply(templates[0], coefficients[0])
+        for c, template in zip(coefficients[1:], templates[1:]):
+            values += c * template
+        combinations.append(values)
+    return combinations
 
 
 def _reference_write_summary_json(path, documents):
@@ -320,16 +378,22 @@ def error_models():
 
 
 @st.composite
-def detection_inputs(draw):
-    """A validated spin system, a non-aliasing acquisition and a random
-    Hermitian unit-trace rho."""
-    sys, acq = draw(configurations(j_max=10.0, t2_max=20.0))
+def states(draw):
+    """A random Hermitian unit-trace rho."""
     parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
     a = (parts[:16] + 1j * parts[16:]).reshape(4, 4)
     h = a + a.conj().T
     trace = float(np.trace(h).real)
     assume(abs(trace) > 0.1)
-    return sys, acq, h / trace
+    return h / trace
+
+
+@st.composite
+def detection_inputs(draw):
+    """A validated spin system, a non-aliasing acquisition and a random
+    Hermitian unit-trace rho."""
+    sys, acq = draw(configurations(j_max=10.0, t2_max=20.0))
+    return sys, acq, draw(states())
 
 
 class TestAcquisitionParams:
@@ -350,7 +414,7 @@ class TestAcquisitionParams:
 
     def test_aliasing_guard(self):
         with pytest.raises(ValueError, match="alias"):
-            detect(SYS, state_00(), AcquisitionParams(spectral_width=128.0, n_points=1024))
+            detect(SYS, [state_00()], AcquisitionParams(spectral_width=128.0, n_points=1024))
 
     @pytest.mark.parametrize("field", ["spectral_width", "observe_phase"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -361,7 +425,7 @@ class TestAcquisitionParams:
 
 class TestDetect:
     def test_reference_has_four_same_sign_lines(self):
-        spec = detect(SYS, state_00(), ACQ)
+        spec = detect(SYS, [state_00()], ACQ)[0]
         assert len(spec.peaks) == 4
         phases = [np.angle(p.coefficient) for p in spec.peaks]
         # all four lines share the observe phase
@@ -374,12 +438,12 @@ class TestDetect:
         assert np.allclose(centers, expected, atol=1e-12)
 
     def test_maximally_mixed_is_silent(self):
-        spec = detect(SYS, np.eye(4, dtype=complex) / 4, ACQ)
+        spec = detect(SYS, [np.eye(4, dtype=complex) / 4], ACQ)[0]
         assert float(np.max(np.abs(spec.values))) <= 1e-10
 
     def test_01_state_has_opposite_doublets(self):
-        spec = detect(SYS, rho_basis(1), ACQ)
-        phase = reference_phase(detect(SYS, state_00(), ACQ))
+        spec = detect(SYS, [rho_basis(1)], ACQ)[0]
+        phase = reference_phase(detect(SYS, [state_00()], ACQ)[0])
         rot = np.exp(-1j * math.radians(phase))
         spin1 = [float((p.coefficient * rot).real) for p in spec.peaks if p.assigned_spin == 1]
         spin2 = [float((p.coefficient * rot).real) for p in spec.peaks if p.assigned_spin == 2]
@@ -387,7 +451,7 @@ class TestDetect:
         assert all(v < 0 for v in spin2)
 
     def test_doublet_positions_within_one_grid_step(self):
-        spec = detect(SYS, state_00(), ACQ)
+        spec = detect(SYS, [state_00()], ACQ)[0]
         magnitude = np.abs(spec.values)
         for center, _ in line_centers(SYS):
             window = np.abs(spec.freq_hz - center) <= 3.0
@@ -398,7 +462,7 @@ class TestDetect:
     def test_linewidth_close_to_lorentzian_fwhm(self):
         sys = SpinSystem(t2=2.0)
         acq = AcquisitionParams(spectral_width=512.0, n_points=65536)
-        spec = detect(sys, state_00(), acq)
+        spec = detect(sys, [state_00()], acq)[0]
         phase = reference_phase(spec)
         absorption = (spec.values * np.exp(-1j * math.radians(phase))).real
         center = sys.nu1 + sys.j / 2
@@ -414,10 +478,10 @@ class TestDetect:
     def test_linearity(self, alpha):
         rho_a = rho_basis(0)
         rho_b = rho_basis(2)
-        blended = detect(SYS, alpha * rho_a + (1 - alpha) * rho_b, ACQ)
-        separate = alpha * detect(SYS, rho_a, ACQ).values + (1 - alpha) * detect(
-            SYS, rho_b, ACQ
-        ).values
+        blended = detect(SYS, [alpha * rho_a + (1 - alpha) * rho_b], ACQ)[0]
+        separate = alpha * detect(SYS, [rho_a], ACQ)[0].values + (1 - alpha) * detect(
+            SYS, [rho_b], ACQ
+        )[0].values
         assert float(np.max(np.abs(blended.values - separate))) <= 1e-10
 
 
@@ -425,9 +489,9 @@ class TestLineBasis:
     @given(detection_inputs())
     def test_detect_matches_per_detection_reference(self, inputs):
         sys, acq, rho = inputs
-        actual = detect(sys, rho, acq)
+        actual = detect(sys, [rho], acq)[0]
         _assert_matches_reference(actual, _reference_exact_detect(sys, rho, acq))
-        _assert_identical_spectra(detect(sys, rho, acq, synthesize_fid(sys, acq)), actual)
+        _assert_identical_spectra(detect(sys, [rho], acq, synthesize_fid(sys, acq))[0], actual)
 
     @pytest.mark.parametrize(
         "err, acq",
@@ -451,30 +515,55 @@ class TestLineBasis:
             assert run.result == result
             assert run.fidelity == fid
 
-    @given(detection_inputs())
-    def test_stripes_equal_whole_array_combination(self, inputs):
+    @given(detection_inputs(), st.lists(states(), max_size=3))
+    def test_stripes_equal_whole_array_combination(self, inputs, others):
         sys, acq, rho = inputs
-        lines = synthesize_fid(sys, acq)
-        assert np.array_equal(detect(sys, rho, acq, lines).values,
-                              _reference_combination(lines, rho, acq))
+        rhos = [rho, *others]
+        spectra = detect(sys, rhos, acq, synthesize_fid(sys, acq))
+        assert len(spectra) == len(rhos)
+        for spec, values in zip(spectra, _reference_combinations(sys, rhos, acq)):
+            assert np.array_equal(spec.values, values)
 
     @pytest.mark.parametrize("n_points", [16384, 32768, 131072], ids=["1", "2", "8"])
     def test_stripes_equal_whole_array_combination_at_high_resolution(self, n_points):
-        # 1, 2 and 8 stripes; two detections in a row, so a stripe left
+        # 1, 2 and 8 stripes, where every line's roll wraps inside a stripe;
+        # three states a call and two calls in a row, so a stripe left
         # unwritten cannot hold the right values by chance
         sys = SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0)
         acq = AcquisitionParams(spectral_width=1024.0, n_points=n_points, observe_phase=37.0)
         lines = synthesize_fid(sys, acq)
+        assert all(shift % readout._STRIPE for shift, _, _ in lines.line_constants)
         rng = np.random.default_rng(n_points)
         for _ in range(2):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = (a + a.conj().T) / (2 * np.trace(a).real)
-            assert np.array_equal(detect(sys, rho, acq, lines).values,
-                                  _reference_combination(lines, rho, acq))
+            rhos = []
+            for _ in range(3):
+                a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                rhos.append((a + a.conj().T) / (2 * np.trace(a).real))
+            references = _reference_combinations(sys, rhos, acq)
+            for spec, values in zip(detect(sys, rhos, acq, lines), references):
+                assert np.array_equal(spec.values, values)
+
+    @given(detection_inputs(), st.lists(states(), min_size=1, max_size=3), st.data())
+    def test_states_read_together_as_one_at_a_time_in_any_order(self, inputs, others, data):
+        sys, acq, rho = inputs
+        rhos = [rho, *others]
+        lines = synthesize_fid(sys, acq)
+        alone = [detect(sys, [state], acq, lines)[0] for state in rhos]
+        order = data.draw(st.permutations(range(len(rhos))))
+        together = detect(sys, [rhos[k] for k in order], acq, lines)
+        assert len(together) == len(rhos)
+        for spec, k in zip(together, order):
+            _assert_identical_spectra(spec, alone[k])
+
+    def test_no_states_give_no_spectra(self):
+        assert detect(SYS, [], ACQ) == ()
+        assert detect(SYS, [], ACQ, synthesize_fid(SYS, ACQ)) == ()
 
     def test_basis_for_equal_configuration_is_accepted(self):
         lines = synthesize_fid(SpinSystem(), AcquisitionParams())
-        _assert_identical_spectra(detect(SYS, state_00(), ACQ, lines), detect(SYS, state_00(), ACQ))
+        _assert_identical_spectra(
+            detect(SYS, [state_00()], ACQ, lines)[0], detect(SYS, [state_00()], ACQ)[0]
+        )
 
     @pytest.mark.parametrize(
         "sys, acq",
@@ -490,25 +579,34 @@ class TestLineBasis:
     def test_basis_for_other_configuration_rejected(self, sys, acq):
         lines = synthesize_fid(SYS, ACQ)
         with pytest.raises(ValueError, match="different system or acquisition"):
-            detect(sys, state_00(), acq, lines)
+            detect(sys, [state_00()], acq, lines)
 
     def test_detect_leaves_basis_unchanged(self):
         lines = synthesize_fid(SYS, ACQ)
-        before = [template.copy() for template in lines.templates]
-        first = detect(SYS, rho_basis(0), ACQ, lines)
-        kept = first.values.copy()
-        second = detect(SYS, rho_basis(1), ACQ, lines)
-        assert np.array_equal(first.values, kept)
-        assert not np.shares_memory(first.values, second.values)
-        for template, copy in zip(lines.templates, before):
-            assert np.array_equal(template, copy)
-            for spec in (first, second):
-                assert not np.shares_memory(spec.values, template)
+        before = [lines.grid.copy(), lines.freq_hz.copy()]
+        first = detect(SYS, [rho_basis(0), rho_basis(3)], ACQ, lines)
+        kept = [spec.values.copy() for spec in first]
+        second = detect(SYS, [rho_basis(1), rho_basis(2), rho_basis(1)], ACQ, lines)
+        for spec, values in zip(first, kept):
+            assert np.array_equal(spec.values, values)
+        spectra = [*first, *second]
+        for one, other in itertools.combinations(spectra, 2):
+            assert not np.shares_memory(one.values, other.values)
+        for array, copy in zip((lines.grid, lines.freq_hz), before):
+            assert np.array_equal(array, copy)
+            for spec in spectra:
+                assert not np.shares_memory(spec.values, array)
 
     def test_shared_arrays_are_read_only(self):
         lines = synthesize_fid(SYS, ACQ)
-        assert len(lines.templates) == 4
-        for array in (*lines.templates, lines.freq_hz):
+        assert len(lines.line_constants) == 4
+        arrays = [
+            getattr(lines, f.name)
+            for f in dataclasses.fields(lines)
+            if isinstance(getattr(lines, f.name), np.ndarray)
+        ]
+        assert len(arrays) == 2  # the grid and the frequency axis
+        for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -517,6 +615,35 @@ class TestLineBasis:
         assert all(spec.freq_hz is spectra[0].freq_hz for spec in spectra)
         with pytest.raises(ValueError):
             spectra[0].freq_hz[0] = 0.0
+
+    def test_experiment_set_allocates_no_full_size_template(self):
+        # tracemalloc counts allocated bytes, which do not depend on the host.
+        # At its peak a 131072-point set holds its five spectra, the frequency
+        # axis, the grid and detect's stripe buffers (four template stripes,
+        # one complex and one real scratch stripe); the bound adds one more
+        # axis-sized block for the largest transient, the integer arange
+        # behind the axis.  One full-size template (16 N bytes) more would
+        # not fit.
+        sys = SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0)
+        acq = AcquisitionParams(spectral_width=1024.0, n_points=131072)
+        n, stripe = acq.n_points, readout._STRIPE
+        spectra = 5 * 16 * n
+        axis = 8 * n
+        grid = 16 * n
+        buffers = (4 + 1) * 16 * stripe + 8 * stripe
+        transient = 8 * n
+        bound = spectra + axis + grid + buffers + transient
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            baseline, _ = tracemalloc.get_traced_memory()
+            run_experiments(sys, acq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - baseline <= bound
 
 
 class TestFrequencyGrid:
@@ -534,8 +661,8 @@ class TestLineTemplates:
               AcquisitionParams(spectral_width=1024.0, n_points=131072)))
     def test_templates_match_fft_reference(self, config):
         sys, acq = config
-        lines = synthesize_fid(sys, acq)
-        for template, (_, _, _, line) in zip(lines.templates, _reference_lines(sys, acq)):
+        templates = _reference_templates(sys, acq)
+        for template, (_, _, _, line) in zip(templates, _reference_lines(sys, acq)):
             reference = _reference_spectrum(line)
             difference = float(np.max(np.abs(template - reference)))
             scale = float(np.max(np.abs(reference)))
@@ -547,14 +674,14 @@ class TestLineIntegrals:
     def test_each_line_integrates_to_half_the_spectral_width(self, inputs):
         sys, acq, _ = inputs
         # a template sums to N/2, so its line integrates to sw/2
-        for template in synthesize_fid(sys, acq).templates:
+        for template in _reference_templates(sys, acq):
             total = np.sum(template)
             assert abs(total - acq.n_points / 2) <= 1e-12 * acq.n_points / 2
 
     @given(detection_inputs())
     def test_spectrum_integrates_to_its_line_integrals(self, inputs):
         sys, acq, rho = inputs
-        spec = detect(sys, rho, acq)
+        spec = detect(sys, [rho], acq)[0]
         # line k integrates to c_k * sw / 2
         integrals = [p.coefficient * acq.spectral_width / 2 for p in spec.peaks]
         # relative to the summed line magnitudes, which lines of opposite
@@ -574,10 +701,10 @@ class TestLineIntegrals:
     )
     def test_window_sums_agree_with_exact_integrals_on_grid(self, sys, acq):
         assert all((center / acq.resolution).is_integer() for center, _ in line_centers(sys))
-        rot = np.exp(-1j * math.radians(reference_phase(detect(sys, state_00(), acq))))
+        rot = np.exp(-1j * math.radians(reference_phase(detect(sys, [state_00()], acq)[0])))
         for index in range(4):
             windowed = _reference_detect(sys, rho_basis(index), acq).peaks
-            for window, exact in zip(windowed, detect(sys, rho_basis(index), acq).peaks):
+            for window, exact in zip(windowed, detect(sys, [rho_basis(index)], acq)[0].peaks):
                 assert (window.coefficient * rot).real * (exact.coefficient * rot).real > 0
                 residue = abs(math.degrees(np.angle(window.coefficient / exact.coefficient)))
                 assert residue <= 15.0
@@ -604,7 +731,7 @@ class TestLineIntegrals:
         table = PropagatorTable(sys, err)
         for label in ALL_LABELS:
             rho = run_sequence(table, grover_program(label, oracles), np.eye(4) / 4)
-            for peak in detect(sys, rho, acq).peaks:
+            for peak in detect(sys, [rho], acq)[0].peaks:
                 assert abs(peak.coefficient) <= readout.MIN_LINE_COEFFICIENT / 2
 
     @given(
@@ -646,11 +773,11 @@ class TestLineIntegrals:
 
 class TestReferencePhase:
     def test_absorption_reference_is_zero(self):
-        spec = detect(SYS, state_00(), AcquisitionParams(observe_phase=90.0))
+        spec = detect(SYS, [state_00()], AcquisitionParams(observe_phase=90.0))[0]
         assert abs(reference_phase(spec)) <= 1.0
 
     def test_constructed_rotation(self):
-        spec = detect(SYS, state_00(), AcquisitionParams(observe_phase=90.0))
+        spec = detect(SYS, [state_00()], AcquisitionParams(observe_phase=90.0))[0]
         rotated = Spectrum(
             spec.freq_hz,
             spec.values * np.exp(1j * math.pi / 2),
@@ -662,23 +789,25 @@ class TestReferencePhase:
         assert reference_phase(rotated) == pytest.approx(90.0, abs=1.0)
 
     def test_observe_phase_shifts_correction(self):
-        phase_0 = reference_phase(detect(SYS, state_00(), AcquisitionParams(observe_phase=0.0)))
-        phase_90 = reference_phase(detect(SYS, state_00(), AcquisitionParams(observe_phase=90.0)))
+        (spec_0,) = detect(SYS, [state_00()], AcquisitionParams(observe_phase=0.0))
+        (spec_90,) = detect(SYS, [state_00()], AcquisitionParams(observe_phase=90.0))
+        phase_0 = reference_phase(spec_0)
+        phase_90 = reference_phase(spec_90)
         difference = (phase_90 - phase_0) % 360.0
         assert min(difference, 360 - difference) == pytest.approx(90.0, abs=1.0)
 
     def test_off_grid_reference_at_minimum_points(self):
         sys = SpinSystem(nu1=70.77, nu2=-88.84, j=6.08)
-        spec = detect(sys, state_00(), AcquisitionParams(spectral_width=512.0, n_points=1024))
+        spec = detect(sys, [state_00()], AcquisitionParams(spectral_width=512.0, n_points=1024))[0]
         assert classify(spec, reference_phase(spec), spec).qubits == (0, 0)
 
     def test_no_peaks_raises(self):
-        spec = detect(SYS, np.eye(4, dtype=complex) / 4, ACQ)
+        spec = detect(SYS, [np.eye(4, dtype=complex) / 4], ACQ)[0]
         with pytest.raises(AmbiguousReadoutError, match="no detectable"):
             reference_phase(spec)
 
     def test_mixed_phase_message_quotes_largest_residue(self):
-        spec = detect(SYS, state_00(), ACQ)
+        spec = detect(SYS, [state_00()], ACQ)[0]
         quadrature = tuple(
             Peak(p.center_hz, abs(p.coefficient) * (1j if i % 2 else 1), p.assigned_spin)
             for i, p in enumerate(spec.peaks)
@@ -689,30 +818,30 @@ class TestReferencePhase:
 
 
 def _phase_and_reference():
-    ref = detect(SYS, state_00(), ACQ)
+    ref = detect(SYS, [state_00()], ACQ)[0]
     return reference_phase(ref), ref
 
 
 class TestClassify:
     def test_10_state(self):
         phase, ref = _phase_and_reference()
-        result = classify(detect(SYS, rho_basis(2), ACQ), phase, ref)
+        result = classify(detect(SYS, [rho_basis(2)], ACQ)[0], phase, ref)
         assert result.qubits == (1, 0)
 
     def test_00_state_heights_near_one(self):
         phase, ref = _phase_and_reference()
-        result = classify(detect(SYS, state_00(), ACQ), phase, ref)
+        result = classify(detect(SYS, [state_00()], ACQ)[0], phase, ref)
         assert result.qubits == (0, 0)
         assert np.allclose(result.line_heights, 1.0, atol=1e-9)
 
     def test_mixed_state_is_ambiguous(self):
         phase, ref = _phase_and_reference()
         with pytest.raises(AmbiguousReadoutError, match="no signal"):
-            classify(detect(SYS, np.eye(4, dtype=complex) / 4, ACQ), phase, ref)
+            classify(detect(SYS, [np.eye(4, dtype=complex) / 4], ACQ)[0], phase, ref)
 
     def test_disagreeing_pair_is_ambiguous(self):
         phase, ref = _phase_and_reference()
-        spec = detect(SYS, state_00(), ACQ)
+        spec = detect(SYS, [state_00()], ACQ)[0]
         flipped = tuple(
             Peak(p.center_hz, p.coefficient * (-1 if i == 0 else 1), p.assigned_spin)
             for i, p in enumerate(spec.peaks)
@@ -722,7 +851,7 @@ class TestClassify:
 
     def test_disagreement_message_quotes_heights(self):
         phase, ref = _phase_and_reference()
-        spec = detect(SYS, rho_basis(1), ACQ)
+        spec = detect(SYS, [rho_basis(1)], ACQ)[0]
         halved = tuple(
             Peak(p.center_hz, p.coefficient * (-0.5 if i == 0 else 1), p.assigned_spin)
             for i, p in enumerate(spec.peaks)
@@ -734,10 +863,10 @@ class TestClassify:
     @pytest.mark.parametrize("observe", [0.0, 37.0, 90.0, 213.0])
     def test_observe_phase_invariance(self, observe):
         acq = AcquisitionParams(observe_phase=observe)
-        ref = detect(SYS, state_00(), acq)
+        ref = detect(SYS, [state_00()], acq)[0]
         phase = reference_phase(ref)
         for index, expected in ((0, (0, 0)), (1, (0, 1)), (2, (1, 0)), (3, (1, 1))):
-            result = classify(detect(SYS, rho_basis(index), acq), phase, ref)
+            result = classify(detect(SYS, [rho_basis(index)], acq)[0], phase, ref)
             assert result.qubits == expected
 
     @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
@@ -745,7 +874,7 @@ class TestClassify:
         from spinsearch.spins import pseudo_pure_00
 
         phase, ref = _phase_and_reference()
-        result = classify(detect(SYS, pseudo_pure_00(eps), ACQ), phase, ref)
+        result = classify(detect(SYS, [pseudo_pure_00(eps)], ACQ)[0], phase, ref)
         assert result.qubits == (0, 0)
         assert np.allclose(result.line_heights, eps, atol=1e-8)
 
@@ -755,8 +884,9 @@ class TestClassify:
             dataclasses.replace(p, coefficient=0j) if i == 1 else p for i, p in enumerate(ref.peaks)
         )
         message = rf"^no signal in the reference line at {ref.peaks[1].center_hz:g} Hz$"
+        (spec,) = detect(SYS, [state_00()], ACQ)
         with pytest.raises(AmbiguousReadoutError, match=message):
-            classify(detect(SYS, state_00(), ACQ), phase, Spectrum(ref.freq_hz, ref.values, silent))
+            classify(spec, phase, Spectrum(ref.freq_hz, ref.values, silent))
 
 
     @given(
@@ -798,7 +928,7 @@ class TestClassify:
 _WRITERS = pytest.mark.parametrize(
     "write, content",
     [
-        (write_spectrum_csv, lambda: detect(SYS, state_00(), ACQ)),
+        (write_spectrum_csv, lambda: detect(SYS, [state_00()], ACQ)[0]),
         (write_summary_json, lambda: [{"experiment": "ref", "qubits": [0, 0]}]),
     ],
     ids=["write_spectrum_csv", "write_summary_json"],
@@ -807,7 +937,7 @@ _WRITERS = pytest.mark.parametrize(
 
 class TestExports:
     def test_csv_round_trip_and_determinism(self, tmp_path):
-        spec = detect(SYS, state_00(), ACQ)
+        spec = detect(SYS, [state_00()], ACQ)[0]
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
         write_spectrum_csv(str(path_a), spec)
@@ -831,7 +961,7 @@ class TestExports:
             complex(-1e-300, 1e300),
             complex(1 / 3, -2 / 3),
         ])
-        detected = detect(SYS, rho_basis(2), ACQ)
+        detected = detect(SYS, [rho_basis(2)], ACQ)[0]
         for spec in (Spectrum(freq, values), detected):
             fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
             write_spectrum_csv(str(fast), spec)
@@ -877,7 +1007,7 @@ class TestExports:
 
     def test_summary_document_shape(self):
         phase, ref = _phase_and_reference()
-        result = classify(detect(SYS, rho_basis(2), ACQ), phase, ref)
+        result = classify(detect(SYS, [rho_basis(2)], ACQ)[0], phase, ref)
         doc = summary_document("f10", result, fidelity=0.5)
         assert doc["experiment"] == "f10"
         assert doc["qubits"] == [1, 0]
@@ -888,7 +1018,7 @@ class TestExports:
 
     def test_summary_json_written_atomically(self, tmp_path):
         phase, ref = _phase_and_reference()
-        result = classify(detect(SYS, state_00(), ACQ), phase, ref)
+        result = classify(detect(SYS, [state_00()], ACQ)[0], phase, ref)
         path = tmp_path / "summary.json"
         write_summary_json(str(path), [summary_document("ref", result)])
         loaded = json.loads(path.read_text())

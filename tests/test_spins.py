@@ -15,6 +15,7 @@ from spinsearch.core import (
 )
 from spinsearch.grover import pseudo_hadamard
 from spinsearch.spins import (
+    IDEAL,
     SpinSystem,
     ErrorModel,
     energies,
@@ -179,6 +180,13 @@ class TestSoftPulse:
     def test_error_model_rejects_non_finite_duration(self, mode, t_p):
         with pytest.raises(ValueError, match="finite"):
             ErrorModel(mode, t_p)
+
+    @pytest.mark.parametrize("t_p", [5e-5, 1e-300, -1e-4])
+    def test_ideal_error_model_takes_no_duration(self, t_p):
+        # a duration would make a model of ideal pulses compare unequal to IDEAL
+        with pytest.raises(ValueError, match="takes no t_p"):
+            ErrorModel("none", t_p)
+        assert ErrorModel("none", 0.0) == IDEAL
 
 
 def rotation_axis(phase_deg):
