@@ -19,7 +19,6 @@ from .readout import (
     detect,
     reference_phase,
     summary_document,
-    synthesize_fid,
 )
 from .sequence import PropagatorTable, compile_oracle, grover_program, run_sequence
 from .spins import ErrorModel, IDEAL, SpinSystem, pseudo_pure_00
@@ -82,18 +81,17 @@ def run_experiments(
     program's |00> reflection, and the four pulse programs run on one
     propagator table for (sys, err), so each distinct pulse or delay is
     built once per set.  One detection then renders the reference, a plain
-    |00><00|, and the four runs' spectra together from one line basis.  The
-    reference's phase correction and line coefficients calibrate every
-    spectrum of the set, its own included, so the reference's heights are 1.
+    |00><00|, and the four runs' spectra together.  The reference's phase
+    correction and line coefficients calibrate every spectrum of the set,
+    its own included, so the reference's heights are 1.
     """
-    lines = synthesize_fid(sys, acq)
     oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
     table = PropagatorTable(sys, err)
     rhos = [
         run_sequence(table, grover_program(label, oracles), pseudo_pure_00(epsilon))
         for label in ALL_LABELS
     ]
-    ref_spec, *specs = detect(sys, [pseudo_pure_00(1.0), *rhos], acq, lines)
+    ref_spec, *specs = detect(sys, [pseudo_pure_00(1.0), *rhos], acq)
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase, ref_spec)
     runs = tuple(

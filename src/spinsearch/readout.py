@@ -11,11 +11,11 @@ fftshifted DFT of the FID with its first point halved) is a combination of
 four line templates, each the closed-form DFT of one damped line.  The line
 basis (built by ``synthesize_fid``) holds the frequency grid and each
 template's closed-form constants; it depends only on the spin system and
-the acquisition.  ``detect`` takes an experiment set's states together and
-renders all their spectra in one pass over cache-sized stripes, evaluating
-each template's stripe once for every spectrum, with no FID, no FFT and no
-full-size template.  The readout reads each line by its coefficient, which
-no acquisition setting scales.
+the acquisition.  ``detect`` builds the basis, takes an experiment set's
+states together and renders all their spectra in one pass over cache-sized
+stripes, evaluating each template's stripe once for every spectrum, with
+no FID, no FFT and no full-size template.  The readout reads each line by
+its coefficient, which no acquisition setting scales.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def line_centers(sys: SpinSystem) -> tuple[tuple[float, int], ...]:
 @dataclass(frozen=True, eq=False)
 class LineBasis:
     """The rho-independent part of detection for one spin system and
-    acquisition, built once for an experiment set.
+    acquisition.
 
     ``couplings`` lists the (i, j, O_ji) coherences the observable picks up,
     in detection order.  The template of each coherence (the fftshifted
@@ -147,8 +147,6 @@ class LineBasis:
     ``couplings``.  Every array is read-only.
     """
 
-    system: SpinSystem
-    acquisition: AcquisitionParams
     couplings: tuple[tuple[int, int, np.complex128], ...]
     line_constants: tuple[tuple[int, complex, complex], ...]
     damping: tuple[float, float]
@@ -167,9 +165,8 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     halved, the line's N-point DFT is T[m] = (1 - a**N) / (1 - a w**m) - 1/2,
     w = exp(-i 2 pi / N).  The basis holds the grid and each line's
     constants from which ``_template_stripe`` evaluates any stretch of T
-    without cancellation for any T2; it depends only on (sys, acq), so an
-    experiment set builds it once.  Raises ValueError if the spectral width
-    would alias the doublets.
+    without cancellation for any T2; it depends only on (sys, acq).  Raises
+    ValueError if the spectral width would alias the doublets.
     """
     limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
     if acq.spectral_width <= limit:
@@ -201,8 +198,7 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     # coherence (i, j) sits at E_j - E_i; line_centers ascends in frequency too
     line_couplings = tuple(np.argsort([levels[j] - levels[i] for i, j, _ in couplings]).tolist())
     return LineBasis(
-        sys, acq, couplings, line_constants, damping, _read_only(grid), _read_only(freq),
-        line_couplings,
+        couplings, line_constants, damping, _read_only(grid), _read_only(freq), line_couplings
     )
 
 
@@ -262,17 +258,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def detect(
-    sys: SpinSystem,
-    rhos: Sequence[np.ndarray],
-    acq: AcquisitionParams,
-    lines: LineBasis | None = None,
+    sys: SpinSystem, rhos: Sequence[np.ndarray], acq: AcquisitionParams
 ) -> tuple[Spectrum, ...]:
     """Crush gradients, fire the observe pulse and return the FID's spectrum
     for each density matrix of ``rhos``, in order (``()`` for none).
 
     Each spectrum is the 4-term combination of the templates of the line
-    basis ``lines`` with coefficients c = O_ji * rho_ij; without ``lines``
-    the basis is built for this call.  All spectra are rendered in one pass
+    basis for (sys, acq), built once per call by ``synthesize_fid``, with
+    coefficients c = O_ji * rho_ij.  All spectra are rendered in one pass
     over ``_STRIPE``-point stripes: each template's stripe is evaluated from
     its closed form into a cache-sized buffer and added into every output,
     so no full-size template or temporary is built.  The values are
@@ -280,13 +273,9 @@ def detect(
     Each spectrum's values are a new array of their own; every spectrum
     shares the basis's read-only frequency grid.  Each peak carries its
     line's c, which the spectral width and the grid do not scale.  Raises
-    ValueError if the spectral width would alias the doublets or ``lines``
-    was built for another system or acquisition.
+    ValueError if the spectral width would alias the doublets.
     """
-    if lines is None:
-        lines = synthesize_fid(sys, acq)
-    elif lines.system != sys or lines.acquisition != acq:
-        raise ValueError("line basis was built for a different system or acquisition")
+    lines = synthesize_fid(sys, acq)
     u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
     u_obs_dagger = u_obs.conj().T
     coefficients = []

@@ -156,7 +156,11 @@ def soft_pulse(
     amplitude flip/(360*t_p) Hz.  The result is rotated back into the shared
     rotating frame, so during t_p the spectator precesses at its own offset
     and the coupling keeps running -- the finite-duration errors of a real
-    selective pulse.
+    selective pulse.  Each block's rotation is taken in degrees over the
+    whole pulse, flip_deg from the RF term and 360 J m t_p from the
+    coupling, so t_p is never a divisor: any positive t_p down to the
+    smallest subnormal runs, and as t_p -> 0 the pulse becomes
+    ``ideal_pulse`` with its exact rotation angle.
     """
     if t_p <= 0:
         raise ValueError("soft pulse duration must be positive")
@@ -166,18 +170,20 @@ def soft_pulse(
         carrier, spectator = sys.nu2, sys.nu1
     else:
         raise ValueError("soft pulses address a single spin")
-    omega1 = flip_deg / (360.0 * t_p)
     phi = math.radians(phase_deg)
     blocks = []
     for m in (0.5, -0.5):
-        # H_m = (spectator - carrier) m + J m Iz + omega1 (cos(phi) Ix + sin(phi) Iy)
-        jm = sys.j * m
-        field = math.hypot(omega1, jm)  # > 0 because J > 0
+        # H_m t_p = ((spectator - carrier) m + J m Iz + omega1 (cos(phi) Ix + sin(phi) Iy)) t_p
+        # with omega1 t_p = flip/360: a rotation by hypot(flip, 360 J m t_p) degrees
+        coupling_deg = 360.0 * sys.j * m * t_p
+        angle_deg = math.hypot(flip_deg, coupling_deg)
+        # a 0-degree pulse whose coupling term underflows to 0 is the identity
+        norm = angle_deg or 1.0
         (a, b), (c, d) = _su2(
-            2 * math.pi * t_p * field,
-            omega1 * math.cos(phi) / field,
-            omega1 * math.sin(phi) / field,
-            jm / field,
+            math.radians(angle_deg),
+            flip_deg * math.cos(phi) / norm,
+            flip_deg * math.sin(phi) / norm,
+            coupling_deg / norm,
         )
         phase = cmath.exp(-2j * math.pi * t_p * (spectator - carrier) * m)
         blocks.append(((phase * a, phase * b), (phase * c, phase * d)))

@@ -233,6 +233,17 @@ class TestPulseCommand:
         )
         assert code == EXIT_CLASSIFICATION
 
+    def test_subnormal_pulse_duration_reads_every_label(self, capsys, tmp_path, fast_config):
+        # the shortest positive duration is an ideal pulse, not an overflow
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "pulse", "--config", fast_config, "--error-tp", "5e-324",
+            "--out", str(out_dir),
+        )
+        assert code == EXIT_OK, err
+        for name in ("f00", "f01", "f10", "f11"):
+            assert f"{name}: qubits [{name[1]}, {name[2]}], fidelity 1.000000" in out.splitlines()
+
     def test_byte_identical_outputs(self, capsys, tmp_path, fast_config):
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"

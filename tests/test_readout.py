@@ -491,7 +491,6 @@ class TestLineBasis:
         sys, acq, rho = inputs
         actual = detect(sys, [rho], acq)[0]
         _assert_matches_reference(actual, _reference_exact_detect(sys, rho, acq))
-        _assert_identical_spectra(detect(sys, [rho], acq, synthesize_fid(sys, acq))[0], actual)
 
     @pytest.mark.parametrize(
         "err, acq",
@@ -519,7 +518,7 @@ class TestLineBasis:
     def test_stripes_equal_whole_array_combination(self, inputs, others):
         sys, acq, rho = inputs
         rhos = [rho, *others]
-        spectra = detect(sys, rhos, acq, synthesize_fid(sys, acq))
+        spectra = detect(sys, rhos, acq)
         assert len(spectra) == len(rhos)
         for spec, values in zip(spectra, _reference_combinations(sys, rhos, acq)):
             assert np.array_equal(spec.values, values)
@@ -531,8 +530,8 @@ class TestLineBasis:
         # unwritten cannot hold the right values by chance
         sys = SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0)
         acq = AcquisitionParams(spectral_width=1024.0, n_points=n_points, observe_phase=37.0)
-        lines = synthesize_fid(sys, acq)
-        assert all(shift % readout._STRIPE for shift, _, _ in lines.line_constants)
+        constants = synthesize_fid(sys, acq).line_constants
+        assert all(shift % readout._STRIPE for shift, _, _ in constants)
         rng = np.random.default_rng(n_points)
         for _ in range(2):
             rhos = []
@@ -540,62 +539,50 @@ class TestLineBasis:
                 a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                 rhos.append((a + a.conj().T) / (2 * np.trace(a).real))
             references = _reference_combinations(sys, rhos, acq)
-            for spec, values in zip(detect(sys, rhos, acq, lines), references):
+            for spec, values in zip(detect(sys, rhos, acq), references):
                 assert np.array_equal(spec.values, values)
 
     @given(detection_inputs(), st.lists(states(), min_size=1, max_size=3), st.data())
     def test_states_read_together_as_one_at_a_time_in_any_order(self, inputs, others, data):
         sys, acq, rho = inputs
         rhos = [rho, *others]
-        lines = synthesize_fid(sys, acq)
-        alone = [detect(sys, [state], acq, lines)[0] for state in rhos]
+        alone = [detect(sys, [state], acq)[0] for state in rhos]
         order = data.draw(st.permutations(range(len(rhos))))
-        together = detect(sys, [rhos[k] for k in order], acq, lines)
+        together = detect(sys, [rhos[k] for k in order], acq)
         assert len(together) == len(rhos)
         for spec, k in zip(together, order):
             _assert_identical_spectra(spec, alone[k])
 
     def test_no_states_give_no_spectra(self):
         assert detect(SYS, [], ACQ) == ()
-        assert detect(SYS, [], ACQ, synthesize_fid(SYS, ACQ)) == ()
-
-    def test_basis_for_equal_configuration_is_accepted(self):
-        lines = synthesize_fid(SpinSystem(), AcquisitionParams())
-        _assert_identical_spectra(
-            detect(SYS, [state_00()], ACQ, lines)[0], detect(SYS, [state_00()], ACQ)[0]
-        )
-
-    @pytest.mark.parametrize(
-        "sys, acq",
-        [
-            (SpinSystem(nu1=90.0), ACQ),
-            (SpinSystem(t2=2.0), ACQ),
-            (SYS, AcquisitionParams(n_points=2048)),
-            (SYS, AcquisitionParams(spectral_width=600.0)),
-            (SYS, AcquisitionParams(observe_phase=90.0)),
-        ],
-        ids=["nu1", "t2", "n_points", "spectral_width", "observe_phase"],
-    )
-    def test_basis_for_other_configuration_rejected(self, sys, acq):
-        lines = synthesize_fid(SYS, ACQ)
-        with pytest.raises(ValueError, match="different system or acquisition"):
-            detect(sys, [state_00()], acq, lines)
 
     def test_detect_leaves_basis_unchanged(self):
-        lines = synthesize_fid(SYS, ACQ)
-        before = [lines.grid.copy(), lines.freq_hz.copy()]
-        first = detect(SYS, [rho_basis(0), rho_basis(3)], ACQ, lines)
+        first = detect(SYS, [rho_basis(0), rho_basis(3)], ACQ)
         kept = [spec.values.copy() for spec in first]
-        second = detect(SYS, [rho_basis(1), rho_basis(2), rho_basis(1)], ACQ, lines)
+        second = detect(SYS, [rho_basis(1), rho_basis(2), rho_basis(1)], ACQ)
         for spec, values in zip(first, kept):
             assert np.array_equal(spec.values, values)
         spectra = [*first, *second]
         for one, other in itertools.combinations(spectra, 2):
             assert not np.shares_memory(one.values, other.values)
-        for array, copy in zip((lines.grid, lines.freq_hz), before):
-            assert np.array_equal(array, copy)
-            for spec in spectra:
-                assert not np.shares_memory(spec.values, array)
+        axis = synthesize_fid(SYS, ACQ).freq_hz
+        for spec in spectra:
+            assert np.array_equal(spec.freq_hz, axis)
+            assert not np.shares_memory(spec.values, spec.freq_hz)
+
+    def test_experiment_set_builds_one_basis(self, monkeypatch):
+        # readout.synthesize_fid_ms times this one build per set
+        calls = []
+
+        def counting(sys, acq):
+            calls.append((sys, acq))
+            return synthesize_fid(sys, acq)
+
+        monkeypatch.setattr(readout, "synthesize_fid", counting)
+        run_experiments(SYS, ACQ)
+        assert calls == [(SYS, ACQ)]
+        run_experiments(SYS, ACQ, 0.5, ErrorModel("soft-pulse", 1e-4))
+        assert calls == [(SYS, ACQ)] * 2
 
     def test_shared_arrays_are_read_only(self):
         lines = synthesize_fid(SYS, ACQ)

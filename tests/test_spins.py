@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -11,6 +11,7 @@ from spinsearch.core import (
     IX,
     IY,
     SIGMA_X,
+    UNITARY_TOL,
     is_unitary,
 )
 from spinsearch.grover import pseudo_hadamard
@@ -234,6 +235,26 @@ class TestClosedFormPropagators:
         sys = SpinSystem(nu1=nu1, nu2=nu1 - side * (10 * j + gap), j=j)
         ref = expm_soft_pulse(sys, target, flip, phase, t_p)
         assert np.max(np.abs(soft_pulse(sys, target, flip, phase, t_p) - ref)) <= 1e-12
+
+    # t_p log-uniform from the smallest subnormal to 1 ms: at the short end an
+    # RF amplitude flip/(360 t_p) would overflow to inf
+    @given(offsets, gaps, st.sampled_from([-1.0, 1.0]), couplings, st.sampled_from([1, 2]),
+           st.floats(-1e300, 1e300, allow_nan=False), phases,
+           st.floats(math.log(5e-324), math.log(1e-3)).map(lambda x: max(math.exp(x), 5e-324)))
+    @example(80.0, 90.0, 1.0, 7.0, 2, 180.0, 90.0, 5e-324)
+    @example(80.0, 90.0, 1.0, 7.0, 1, 1e300, 0.0, 1e-12)  # the wire pulse PULSE 1 1e300 0.0 SOFT 1e-12
+    # 0-degree pulses at the shortest duration; at J = 1e-3 Hz the coupling
+    # term 360 J m t_p underflows to 0 as well
+    @example(80.0, 155.0, 1.0, 0.5, 1, 0.0, 0.0, 5e-324)
+    @example(80.0, 155.0, 1.0, 1e-3, 2, 0.0, 0.0, 5e-324)
+    def test_soft_pulse_runs_for_any_positive_duration(
+        self, nu1, gap, side, j, target, flip, phase, t_p
+    ):
+        sys = SpinSystem(nu1=nu1, nu2=nu1 - side * (10 * j + gap), j=j)
+        u = soft_pulse(sys, target, flip, phase, t_p)
+        assert is_unitary(u, UNITARY_TOL)
+        if t_p <= 1e-30:
+            assert np.max(np.abs(u - ideal_pulse(target, flip, phase))) <= 1e-12
 
 
 class TestGradientCrush:
