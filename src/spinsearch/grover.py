@@ -6,7 +6,11 @@ h^-1 = h^T, with the start state s_x = (-1)^popcount(x)/sqrt(N).  The sign
 frame D = diag((-1)^popcount(x)) commutes with every marked-sign oracle and
 maps s to the uniform vector, so in frame amplitudes phi = D.psi the
 diffusion is Grover's inversion about the mean, phi <- phi - 2 mean(phi), on
-a real vector: O(N) per iterate, with no start vector.
+a real vector.  From the uniform start every iterate leaves just two
+amplitudes, a on each of the k marked entries and b on the other N - k
+(Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034, section 2), so the
+search runs as an O(1) recurrence on (a, b) and the 2^n-entry state is
+built once, at the end.
 
 Conventions (fixed package-wide): Ry(beta) = exp(-i*beta*sigma_y/2), so the
 pseudo-Hadamard h = Ry(90 deg) = (1/sqrt(2)) [[1, -1], [1, 1]] and h maps
@@ -172,29 +176,28 @@ def read_bits(psi: np.ndarray) -> tuple[int, int]:
     return index >> 1, index & 1
 
 
-def grover_iterate(problem: SearchProblem, phi: np.ndarray) -> np.ndarray:
-    """One search iterate on real frame amplitudes phi = D.psi: the marked-set
-    sign flip, then the inversion about the mean, phi <- phi - 2 mean(phi).
-    Returns a new float64 array; a complex input raises ValueError."""
-    phi = np.asarray(phi)
-    if phi.dtype.kind == "c":
-        raise ValueError("grover_iterate takes real frame amplitudes, not a complex state")
-    phi = phi.astype(float)
-    phi[problem.marked] *= -1
-    phi -= 2 * phi.mean()
-    return phi
+def grover_iterate(k: int, size: int, a: float, b: float) -> tuple[float, float]:
+    """One search iterate in the invariant plane: frame amplitude a on each
+    of the k marked entries and b on the other size - k.  The marked-set
+    sign flip, then the inversion about the mean
+    mu = (-k a + (size - k) b) / size, gives (-a - 2 mu, b - 2 mu)."""
+    mean = (-k * a + (size - k) * b) / size
+    return -a - 2 * mean, b - 2 * mean
 
 
 def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
     """The float64 state psi = D.phi after ``iterations`` search iterates from
     the start state s = (h^-1)^(x n) |0...0>, whose frame amplitudes are the
-    uniform 1/sqrt(N).  Matrix-free; fine up to 20 qubits."""
+    uniform 1/sqrt(N).  The iterates run in the invariant plane; the state
+    is built once, b everywhere and a on the marked set.  Fine up to 20 qubits."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    size = problem.size
-    phi = np.full(size, 1.0 / math.sqrt(size))
+    size, k = problem.size, problem.k
+    a = b = 1.0 / math.sqrt(size)
     for _ in range(iterations):
-        phi = grover_iterate(problem, phi)
+        a, b = grover_iterate(k, size, a, b)
+    phi = np.full(size, b)
+    phi[problem.marked] = a
     # D's entries [w, 2w) are its entries [0, w) with one more bit set
     signs = np.empty(size)
     signs[0] = 1.0

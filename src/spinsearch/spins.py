@@ -145,6 +145,11 @@ def ideal_pulse(target: int | str, flip_deg: float, phase_deg: float) -> np.ndar
     raise ValueError(f"unknown pulse target {target!r}")
 
 
+def _rotation_overflow(t_p: float) -> ValueError:
+    """The usage error for a soft pulse too long to take its rotation."""
+    return ValueError(f"soft pulse t_p = {t_p!r} s is too long: the pulse's rotation overflows")
+
+
 def soft_pulse(
     sys: SpinSystem, target: int, flip_deg: float, phase_deg: float, t_p: float
 ) -> np.ndarray:
@@ -160,7 +165,8 @@ def soft_pulse(
     whole pulse, flip_deg from the RF term and 360 J m t_p from the
     coupling, so t_p is never a divisor: any positive t_p down to the
     smallest subnormal runs, and as t_p -> 0 the pulse becomes
-    ``ideal_pulse`` with its exact rotation angle.
+    ``ideal_pulse`` with its exact rotation angle.  A t_p so long that the
+    coupling rotation or a precession phase overflows raises ValueError.
     """
     if t_p <= 0:
         raise ValueError("soft pulse duration must be positive")
@@ -177,6 +183,9 @@ def soft_pulse(
         # with omega1 t_p = flip/360: a rotation by hypot(flip, 360 J m t_p) degrees
         coupling_deg = 360.0 * sys.j * m * t_p
         angle_deg = math.hypot(flip_deg, coupling_deg)
+        precession = -2j * math.pi * t_p * (spectator - carrier) * m
+        if not (math.isfinite(angle_deg) and cmath.isfinite(precession)):
+            raise _rotation_overflow(t_p)
         # a 0-degree pulse whose coupling term underflows to 0 is the identity
         norm = angle_deg or 1.0
         (a, b), (c, d) = _su2(
@@ -185,10 +194,13 @@ def soft_pulse(
             flip_deg * math.sin(phi) / norm,
             coupling_deg / norm,
         )
-        phase = cmath.exp(-2j * math.pi * t_p * (spectator - carrier) * m)
+        phase = cmath.exp(precession)
         blocks.append(((phase * a, phase * b), (phase * c, phase * d)))
     # back to the shared frame: exp(-i 2 pi carrier t_p Fz), Fz = diag(1, 0, 0, -1)
-    frame = cmath.exp(-2j * math.pi * carrier * t_p)
+    frame_phase = -2j * math.pi * carrier * t_p
+    if not cmath.isfinite(frame_phase):
+        raise _rotation_overflow(t_p)
+    frame = cmath.exp(frame_phase)
     u = _embed(target, blocks)
     u[0] *= frame
     u[3] *= frame.conjugate()

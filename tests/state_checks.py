@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from spinsearch.core import IDENTITY_2
-from spinsearch.grover import OracleLabel
+from spinsearch.grover import OracleLabel, SearchProblem
 from spinsearch.sequence import (
     Gradient,
     PropagatorTable,
@@ -141,6 +141,33 @@ def predicted_success_probability(n: int, k: int, iterations: int) -> float:
     """sin^2((2m+1) * asin(sqrt(k/N))): the exact rotation-picture value."""
     theta = math.asin(math.sqrt(k / n))
     return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+def popcount_signs(n_qubits: int) -> np.ndarray:
+    """The diagonal of the sign frame D = diag((-1)^popcount(x))."""
+    bits = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1
+    return 1.0 - 2.0 * (bits.sum(axis=1) % 2)
+
+
+def full_vector_iterate(problem: SearchProblem, phi: np.ndarray) -> np.ndarray:
+    """One search iterate on all 2^n real frame amplitudes phi = D.psi: the
+    marked-set sign flip, then the inversion about the mean,
+    phi <- phi - 2 mean(phi).  Returns a new float64 array.  The reference
+    for ``grover.grover_iterate``, which keeps only the two amplitudes the
+    iterate leaves."""
+    phi = np.asarray(phi, dtype=float).copy()
+    phi[problem.marked] *= -1
+    phi -= 2 * phi.mean()
+    return phi
+
+
+def full_vector_general(problem: SearchProblem, iterations: int) -> np.ndarray:
+    """``iterations`` full-vector iterates from the uniform frame amplitudes
+    1/sqrt(N), mapped back by D: the reference for ``grover.grover_general``."""
+    phi = np.full(problem.size, 1.0 / math.sqrt(problem.size))
+    for _ in range(iterations):
+        phi = full_vector_iterate(problem, phi)
+    return popcount_signs(problem.n_qubits) * phi
 
 
 def reference_marked(n_qubits: int, marked) -> np.ndarray:

@@ -19,7 +19,7 @@ from spinsearch.grover import (
     SearchProblem,
     classical_expected_evaluations,
     grover2_circuit,
-    grover_iterate,
+    grover_general,
     monte_carlo_evaluations,
     optimal_iterations,
     oracle_matrix,
@@ -128,17 +128,15 @@ def test_generalized_search():
         for k in sorted({1, size // 4, size // 2} - {0}):
             problem = SearchProblem(n_qubits, frozenset(range(k)))
             limit = 3 * optimal_iterations(problem)
-            phi = np.full(size, 1 / math.sqrt(size))  # frame amplitudes of the start state
             for m in range(limit + 1):
                 expected = predicted_success_probability(size, k, m)
-                assert abs(success_probability(problem, phi) - expected) <= 1e-10
-                phi = grover_iterate(problem, phi)
+                p = success_probability(problem, grover_general(problem, m))
+                assert abs(p - expected) <= 1e-10
     for n_qubits in (2, 4, 6, 8):
         size = 2**n_qubits
         problem = SearchProblem(n_qubits, frozenset(range(size // 4)))
         assert optimal_iterations(problem) == 1
-        start_frame = np.full(size, 1 / math.sqrt(size))
-        p = success_probability(problem, grover_iterate(problem, start_frame))
+        p = success_probability(problem, grover_general(problem, 1))
         assert abs(p - 1.0) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"generalized search grid took {elapsed:.2f} s"

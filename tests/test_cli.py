@@ -74,10 +74,13 @@ class TestSearchCommand:
         assert out_a == out_b
 
     def test_scan_output_is_byte_identical(self, capsys):
-        # the n = 10 table and three desk-scale rows, Monte-Carlo column
-        # included, pinned byte for byte
+        # the n = 10 and n = 20 tables and four desk-scale rows, Monte-Carlo
+        # column included, pinned byte for byte; n = 20, k = 1 runs 804 plane
+        # steps and builds one 2**20-entry state
         goldens = {
             "search_scan_n10_seed1_trials2000.txt": [["--scan", "--n", "10"]],
+            "search_scan_n20_seed1_trials2000.txt": [["--scan", "--n", "20"]],
+            "search_n20_k1_seed1_trials2000.txt": [["--n", "20", "--k", "1"]],
             "search_large_n_seed1_trials2000.txt": [
                 ["--n", "16", "--k", "1"],
                 ["--n", "20", "--k", "262144"],
@@ -243,6 +246,18 @@ class TestPulseCommand:
         assert code == EXIT_OK, err
         for name in ("f00", "f01", "f10", "f11"):
             assert f"{name}: qubits [{name[1]}, {name[2]}], fidelity 1.000000" in out.splitlines()
+
+    @pytest.mark.parametrize("t_p", ["1e306", "1e308"])
+    def test_overflowing_pulse_duration_is_usage_error(self, capsys, tmp_path, fast_config, t_p):
+        # the pulse's rotation overflows: a usage error naming t_p, not a math error
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "pulse", "--config", fast_config, "--error-tp", t_p, "--out", str(out_dir),
+        )
+        assert code == EXIT_USAGE
+        assert "t_p" in err
+        assert "math domain error" not in err
+        assert not out_dir.exists()
 
     def test_byte_identical_outputs(self, capsys, tmp_path, fast_config):
         dir_a = tmp_path / "a"

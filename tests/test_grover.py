@@ -26,8 +26,10 @@ from spinsearch.grover import (
 )
 from state_checks import (
     equal_up_to_global_phase,
+    full_vector_general,
     global_phase_factor,
     monte_carlo_by_draw,
+    popcount_signs,
     predicted_success_probability,
     reference_marked,
     ry,
@@ -126,12 +128,6 @@ def _reference_start(n_qubits):
     return psi
 
 
-def _popcount_signs(n_qubits):
-    """The diagonal of the sign frame D = diag((-1)^popcount(x))."""
-    bits = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1
-    return 1.0 - 2.0 * (bits.sum(axis=1) % 2)
-
-
 def _uniform_frame(n_qubits):
     """Frame amplitudes D.s of the start state: the uniform 1/sqrt(N)."""
     return np.full(2**n_qubits, 1 / math.sqrt(2**n_qubits))
@@ -150,19 +146,27 @@ def _reference_iterate(n_qubits, marked, psi):
     return psi
 
 
+def _plane_frame(problem, a, b):
+    """Frame amplitudes with a on the marked set and b elsewhere."""
+    phi = np.full(problem.size, b)
+    phi[problem.marked] = a
+    return phi
+
+
 def _assert_matches_reference(problem, iterations):
-    """The uniform frame start, every grover_iterate step and grover_general,
-    each mapped back by D, equal the gate-by-gate reference elementwise,
-    global phase included."""
+    """The uniform start and every grover_iterate plane step, as
+    D.(a on the marked set, b elsewhere), and grover_general equal the
+    gate-by-gate reference elementwise, global phase included."""
     n_qubits = problem.n_qubits
-    signs = _popcount_signs(n_qubits)
+    signs = popcount_signs(n_qubits)
     reference = _reference_start(n_qubits)
-    assert np.max(np.abs(signs * _uniform_frame(n_qubits) - reference)) <= 1e-12
+    a = b = 1 / math.sqrt(problem.size)
+    assert np.max(np.abs(signs * _plane_frame(problem, a, b) - reference)) <= 1e-12
     for _ in range(iterations):
         assert not reference.imag.any()
-        step = grover_iterate(problem, signs * reference.real)
+        a, b = grover_iterate(problem.k, problem.size, a, b)
         reference = _reference_iterate(n_qubits, problem.marked, reference)
-        assert np.max(np.abs(signs * step - reference)) <= 1e-12
+        assert np.max(np.abs(signs * _plane_frame(problem, a, b) - reference)) <= 1e-12
     assert np.max(np.abs(grover_general(problem, iterations) - reference)) <= 1e-12
 
 
@@ -194,23 +198,24 @@ class TestReflectionMatchesCircuit:
         assert start.dtype == np.float64
         expected = [(-1) ** bin(x).count("1") / math.sqrt(size) for x in range(size)]
         assert start.tolist() == expected
-        assert (_popcount_signs(n_qubits) * _uniform_frame(n_qubits)).tolist() == expected
+        assert (popcount_signs(n_qubits) * _uniform_frame(n_qubits)).tolist() == expected
         assert np.max(np.abs(_reference_start(n_qubits) - start)) <= 1e-12
 
-    def test_iterate_leaves_input_unchanged(self):
-        problem = SearchProblem(3, frozenset({5}))
-        phi = _uniform_frame(3)
-        before = phi.copy()
-        grover_iterate(problem, phi)
-        assert np.array_equal(phi, before)
-
-    def test_iterate_rejects_complex_state(self):
-        # a complex state is not frame amplitudes; its imaginary part must
-        # not be dropped silently
-        problem = SearchProblem(3, frozenset({5}))
-        for phi in (_uniform_frame(3).astype(complex), _uniform_frame(3) * 1j):
-            with pytest.raises(ValueError, match="real frame amplitudes"):
-                grover_iterate(problem, phi)
+    @given(st.integers(1, 14), st.data())
+    def test_plane_matches_full_vector_reference(self, n_qubits, data):
+        # the plane recurrence against m full-vector iterates, and the
+        # success probability against the rotation law sin^2((2m+1) theta)
+        size = 2**n_qubits
+        k = data.draw(st.integers(1, size), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        marked = np.random.default_rng(seed).choice(size, size=k, replace=False)
+        problem = SearchProblem(n_qubits, marked)
+        m = data.draw(st.integers(0, 2 * optimal_iterations(problem) + 3), label="m")
+        psi = grover_general(problem, m)
+        assert np.max(np.abs(psi - full_vector_general(problem, m))) <= 1e-12
+        assert success_probability(problem, psi) == pytest.approx(
+            predicted_success_probability(size, k, m), abs=1e-10
+        )
 
     @pytest.mark.parametrize("n_qubits,iterations", [(1, 0), (3, 2), (10, 25)])
     def test_general_returns_real_state(self, n_qubits, iterations):
@@ -266,13 +271,11 @@ class TestGeneralSearch:
         for k in sorted({1, size // 4, size // 2} - {0}):
             problem = SearchProblem(n_qubits, frozenset(range(k)))
             limit = 3 * optimal_iterations(problem)
-            phi = _uniform_frame(n_qubits)
             for m in range(limit + 1):
-                got = success_probability(problem, phi)
+                got = success_probability(problem, grover_general(problem, m))
                 assert got == pytest.approx(
                     predicted_success_probability(size, k, m), abs=1e-10
                 )
-                phi = grover_iterate(problem, phi)
 
     def test_matches_hadamard_built_diffusion(self):
         # same success probabilities when built from true Hadamards

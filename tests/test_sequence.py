@@ -599,6 +599,11 @@ class TestErrorModelExecution:
         )
         assert np.allclose(forced, modelled, atol=1e-15)
 
+    @pytest.mark.parametrize("line", ["PULSE 1 90 0 SOFT 1e306", "PULSE 2 180 90 SOFT 1e308"])
+    def test_overflowing_wire_soft_pulse_rejected(self, line):
+        with pytest.raises(ValueError, match="t_p .* rotation overflows"):
+            sequence_unitary(SpinSystem(), parse_sequence(line))
+
     def test_both_target_pulses_stay_hard(self):
         sys = SpinSystem()
         seq = PulseSequence((Pulse("both", 90.0, 90.0),))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,28 @@ class TestClosedFormPropagators:
         assert is_unitary(u, UNITARY_TOL)
         if t_p <= 1e-30:
             assert np.max(np.abs(u - ideal_pulse(target, flip, phase))) <= 1e-12
+
+    # t_p log-uniform from the smallest subnormal to 1.7e308: past about
+    # 1e305 s the coupling rotation 360 J m t_p or a precession phase
+    # 2 pi t_p (nu - nu_carrier) m overflows, and that is a usage error
+    @given(offsets, gaps, st.sampled_from([-1.0, 1.0]), couplings, st.sampled_from([1, 2]),
+           flips, phases, st.floats(math.log(5e-324), math.log(1.7e308)).map(
+               lambda x: max(math.exp(x), 5e-324)))
+    @example(80.0, 90.0, 1.0, 7.0, 2, 180.0, 90.0, 1e306)
+    @example(80.0, 90.0, 1.0, 7.0, 1, 90.0, 0.0, 1.7e308)
+    def test_soft_pulse_is_unitary_or_rejected_at_any_duration(
+        self, nu1, gap, side, j, target, flip, phase, t_p
+    ):
+        sys = SpinSystem(nu1=nu1, nu2=nu1 - side * (10 * j + gap), j=j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                u = soft_pulse(sys, target, flip, phase, t_p)
+            except ValueError as exc:
+                assert "t_p" in str(exc) and "rotation overflows" in str(exc)
+                assert t_p > 1e300
+            else:
+                assert is_unitary(u, UNITARY_TOL)
 
 
 class TestGradientCrush:
