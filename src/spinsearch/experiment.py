@@ -80,17 +80,16 @@ def run_experiments(
     Each label's oracle is compiled once, the f00 oracle doubling as every
     program's |00> reflection, and the four pulse programs run on one
     propagator table for (sys, err), so each distinct pulse or delay is
-    built once per set.  One detection then renders the reference, a plain
-    |00><00|, and the four runs' spectra together.  The reference's phase
-    correction and line coefficients calibrate every spectrum of the set,
-    its own included, so the reference's heights are 1.
+    built once per set, and so is each oracle's product.  One detection
+    then renders the reference, a plain |00><00|, and the four runs' spectra
+    together.  The reference's phase correction and line coefficients
+    calibrate every spectrum of the set, its own included, so the
+    reference's heights are 1.
     """
     oracles = {label: compile_oracle(label, sys) for label in ALL_LABELS}
     table = PropagatorTable(sys, err)
-    rhos = [
-        run_sequence(table, grover_program(label, oracles), pseudo_pure_00(epsilon))
-        for label in ALL_LABELS
-    ]
+    rho0 = pseudo_pure_00(epsilon)
+    rhos = [run_sequence(table, grover_program(label, oracles), rho0) for label in ALL_LABELS]
     ref_spec, *specs = detect(sys, [pseudo_pure_00(1.0), *rhos], acq)
     phase = reference_phase(ref_spec)
     ref_result = classify(ref_spec, phase, ref_spec)

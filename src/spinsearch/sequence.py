@@ -2,6 +2,12 @@
 turns an oracle label into RF pulses and delays, and the executor that runs a
 sequence on a propagator table, which holds the spin system and error model.
 
+A sequence runs part by part.  Most sequences' parts are their events; a
+search program's five parts are the inverse-h pair, the compiled oracle, the
+h pair, the compiled |00> reflection and the inverse-h pair, and the table
+an experiment set shares folds each compiled oracle's 12-event product once,
+so a program's propagator is the product of five factors.
+
 Wire format, one event per line ('#' starts a comment):
 
     PULSE <target> <angle_deg> <phase_deg> [SOFT <t_p>]
@@ -92,15 +98,37 @@ PulseEvent = Pulse | Delay | Gradient
 @dataclass(frozen=True)
 class PulseSequence:
     """Ordered events plus one-line notes (serialized as comments; a line
-    break in a note is rejected, as its tail would read back as events)."""
+    break in a note is rejected, as its tail would read back as events).
+
+    ``parts`` is what ``run_sequence`` folds: the events themselves, or, for
+    a sequence built by ``joined``, its events grouped into single events
+    and sub-sequences.  Parts are neither compared nor written, so a joined
+    sequence equals, and formats as, the flat sequence of its events.
+    """
 
     events: tuple[PulseEvent, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+    parts: tuple[PulseEvent | PulseSequence, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for note in self.notes:
             if "".join(note.splitlines()) != note:
                 raise ValueError(f"note {note!r} contains a line break")
+        object.__setattr__(self, "parts", self.events)
+
+    @classmethod
+    def joined(
+        cls, parts: tuple[PulseEvent | PulseSequence, ...], notes: tuple[str, ...] = ()
+    ) -> PulseSequence:
+        """The sequence of ``parts`` in order, each an event or a
+        gradient-free sub-sequence, which a ``PropagatorTable`` folds into
+        one propagator once, however many sequences share it."""
+        events: tuple[PulseEvent, ...] = ()
+        for part in parts:
+            events += part.events if isinstance(part, PulseSequence) else (part,)
+        seq = cls(events, notes)
+        object.__setattr__(seq, "parts", tuple(parts))
+        return seq
 
     def __iter__(self):
         return iter(self.events)
@@ -243,19 +271,15 @@ def grover_program(
     ``oracles`` maps labels to their ``compile_oracle`` sequences and must
     hold ``label`` and f00, whose oracle is the |00> reflection; an
     experiment set compiles each oracle once and builds all four programs
-    from them.
+    from them.  The program holds its 27 events and, as its five parts,
+    the three pulses and the two oracle sequences themselves, so a table
+    shared by the set folds each oracle's product once.
     """
     u_fab = oracles[label]
-    u_00 = oracles[OracleLabel(0, 0)]
-    events = (
-        (hadamard_pair(inverse=True),)
-        + u_fab.events
-        + (hadamard_pair(),)
-        + u_00.events
-        + (hadamard_pair(inverse=True),)
-    )
+    h_inverse = hadamard_pair(inverse=True)
+    parts = (h_inverse, u_fab, hadamard_pair(), oracles[OracleLabel(0, 0)], h_inverse)
     notes = (f"two-qubit search program for {label.name}",) + u_fab.notes[1:]
-    return PulseSequence(events, notes)
+    return PulseSequence.joined(parts, notes)
 
 
 def pulse_operator(sys: SpinSystem, ev: PulseEvent, err: ErrorModel = IDEAL) -> np.ndarray:
@@ -284,44 +308,76 @@ def event_operator(sys: SpinSystem, ev: PulseEvent, err: ErrorModel = IDEAL) -> 
 
 @dataclass(frozen=True, eq=False)
 class PropagatorTable:
-    """The propagators of the distinct events of one experiment set.
+    """The propagators of the distinct events and sub-sequences of one
+    experiment set.
 
-    The four programs of a set share most of their pulses and all of their
-    delays, so ``run_experiments`` builds one table for the set and passes
-    it to each ``run_sequence`` call.  A table is the only holder of the
-    system and error model its sequences run under; each distinct event's
-    propagator is built once, on first use, checked unitary at 1e-10 and
-    stored read-only.
+    The four programs of a set share most of their pulses, all of their
+    delays and their compiled oracles, so ``run_experiments`` builds one
+    table for the set and passes it to each ``run_sequence`` call.  A table
+    is the only holder of the system and error model its sequences run
+    under.  Each distinct event's propagator is built once, on first use,
+    checked unitary at 1e-10 and stored read-only (``built``, keyed by the
+    event).  Each sub-sequence's product, the fold of its parts' propagators,
+    is built once too and stored read-only with the sequence (``folded``,
+    keyed by the sequence's identity, so a lookup never hashes its events).
     """
 
     system: SpinSystem
     error: ErrorModel = IDEAL
     built: dict[PulseEvent, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    folded: dict[int, tuple[PulseSequence, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
-    def propagator(self, ev: PulseEvent) -> np.ndarray:
-        u = self.built.get(ev)
+    def propagator(self, part: PulseEvent | PulseSequence) -> np.ndarray:
+        """The propagator of an event, or the product of a gradient-free
+        sub-sequence's parts (earliest applied first)."""
+        if isinstance(part, PulseSequence):
+            return self._product(part)
+        u = self.built.get(part)
         if u is None:
-            u = event_operator(self.system, ev, self.error)
+            u = event_operator(self.system, part, self.error)
             if not is_unitary(u):
-                raise ValueError(f"propagator of {ev} is not unitary at tolerance 1e-10")
+                raise ValueError(f"propagator of {part} is not unitary at tolerance 1e-10")
             u.setflags(write=False)
-            self.built[ev] = u
+            self.built[part] = u
         return u
+
+    def _product(self, seq: PulseSequence) -> np.ndarray:
+        """The fold of ``seq``'s parts, built on its first use."""
+        entry = self.folded.get(id(seq))
+        if entry is not None:
+            return entry[1]
+        product = None
+        for part in seq.parts:
+            if isinstance(part, Gradient):
+                raise ValueError("a sub-sequence holding a gradient has no propagator")
+            u = self.propagator(part)
+            product = u if product is None else u @ product
+        if product is None:
+            product = np.eye(4, dtype=complex)
+        product.setflags(write=False)
+        # the entry keeps the sequence alive, so its id names no other
+        self.folded[id(seq)] = (seq, product)
+        return product
 
 
 def run_sequence(table: PropagatorTable, seq, rho0: np.ndarray) -> np.ndarray:
-    """Left-fold the sequence over a density matrix: each gradient-free run
-    of events conjugates it by the product of its propagators, gradient
-    events crush nonzero coherence orders.
+    """Left-fold the sequence's parts over a density matrix: each
+    gradient-free run of parts conjugates it by the product of their
+    propagators, gradient events crush nonzero coherence orders.  A plain
+    list of events is its own parts.
 
     The propagators come from ``table``, which fixes the spin system and the
-    error model; an experiment set shares one table across its programs.
+    error model; an experiment set shares one table across its programs, so
+    a sub-sequence part, such as a search program's compiled oracle, is
+    folded once per set and each program composes its five factors.
     """
     rho = np.asarray(rho0, dtype=complex)
     product = None
-    for ev in seq:
-        if not isinstance(ev, Gradient):
-            u = table.propagator(ev)
+    for part in getattr(seq, "parts", seq):
+        if not isinstance(part, Gradient):
+            u = table.propagator(part)
             product = u if product is None else u @ product
             continue
         if product is not None:

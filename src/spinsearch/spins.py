@@ -99,11 +99,40 @@ def energies(sys: SpinSystem) -> np.ndarray:
     )
 
 
+def _turn_phase(turns: float) -> complex:
+    """exp(-i 2*pi*turns), with the turns reduced modulo one by math.fmod.  A
+    product that overflowed is, like every float at or above 2**53, a whole
+    number of turns: its phase is 0."""
+    if not math.isfinite(turns):
+        return 1.0 + 0.0j
+    return cmath.exp(-2j * math.pi * math.fmod(turns, 1.0))
+
+
 def free_evolution(sys: SpinSystem, t: float) -> np.ndarray:
-    """Propagator exp(-i 2*pi*t H) of free precession for duration t >= 0."""
+    """Propagator exp(-i 2*pi*t H) of free precession for duration t >= 0.
+
+    The three terms of H commute, so the propagator is the product of three
+    diagonal factors, one each for nu1 m1, nu2 m2 and J m1 m2, each phase
+    taken in turns.  J keeps its own phase however far the offsets exceed
+    it, and the 180-degree echo, which conjugates each offset's factor,
+    cancels any offset, as the summed level energies would not once J falls
+    below their rounding.
+    """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    return np.diag(np.exp(-2j * math.pi * t * energies(sys)))
+    # phases of |0> (m = +1/2) on each spin and of m1 m2 = +1/4; |1> and
+    # m1 m2 = -1/4 take the conjugates
+    spin1 = _turn_phase(0.5 * sys.nu1 * t)
+    spin2 = _turn_phase(0.5 * sys.nu2 * t)
+    coupling = _turn_phase(0.25 * sys.j * t)
+    return np.diag(
+        [
+            spin1 * spin2 * coupling,
+            spin1 * spin2.conjugate() * coupling.conjugate(),
+            spin1.conjugate() * spin2 * coupling.conjugate(),
+            spin1.conjugate() * spin2.conjugate() * coupling,
+        ]
+    )
 
 
 def _su2(theta: float, nx: float, ny: float, nz: float) -> tuple:

@@ -1,6 +1,7 @@
 """State validators, phase helpers and the direct reference computations that
 only the tests use."""
 
+import cmath
 import math
 
 import numpy as np
@@ -128,6 +129,29 @@ def hamiltonian(nu1: float, nu2: float, j: float) -> np.ndarray:
     """Weak-coupling Hamiltonian nu1*Iz1 + nu2*Iz2 + J*Iz1Iz2 in Hz, as a 4x4
     matrix: the reference for ``spins.energies``."""
     return nu1 * IZ1 + nu2 * IZ2 + j * IZZ
+
+
+def factored_free_evolution(sys, t: float) -> np.ndarray:
+    """exp(-i 2 pi t H) as the product of the diagonal factors of the three
+    commuting terms nu1 Iz1, nu2 Iz2 and J Iz1 Iz2, level by level: each
+    factor's phase is m nu t turns, with m read off the diagonal of Iz1, Iz2
+    or Iz1 Iz2, reduced modulo one by math.fmod (0 once the product
+    overflows) and exponentiated on its own.  The reference for
+    ``spins.free_evolution``, which takes the m < 0 phases as conjugates."""
+
+    def factor(m: float, frequency: float) -> complex:
+        turns = m * frequency * t
+        turns = math.fmod(turns, 1.0) if math.isfinite(turns) else 0.0
+        return cmath.exp(-2j * math.pi * turns)
+
+    diagonal = []
+    for level in range(4):
+        f1, f2, fj = (
+            factor(float(iz[level, level].real), frequency)
+            for iz, frequency in ((IZ1, sys.nu1), (IZ2, sys.nu2), (IZZ, sys.j))
+        )
+        diagonal.append(f1 * f2 * fj)
+    return np.diag(diagonal)
 
 
 def ry(beta_deg: float) -> np.ndarray:

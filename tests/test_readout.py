@@ -6,6 +6,7 @@ import json
 import math
 import stat
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from spinsearch.spins import (
     ideal_pulse,
     pseudo_pure_00,
 )
-from state_checks import density_from_state, hamiltonian, reference_grover_program, state_00
+from state_checks import density_from_state, hamiltonian, search_program, state_00
 
 SYS = SpinSystem()
 ACQ = AcquisitionParams()
@@ -248,7 +249,7 @@ def _reference_experiments(sys, acq, epsilon, err):
     table = PropagatorTable(sys, err)
     runs = []
     for label in ALL_LABELS:
-        rho = run_sequence(table, reference_grover_program(label, sys), pseudo_pure_00(epsilon))
+        rho = run_sequence(table, search_program(label, sys), pseudo_pure_00(epsilon))
         spec = _reference_exact_detect(sys, rho, acq)
         result = classify(spec, phase, ref_spec)
         runs.append((spec, result, fidelity(basis_state(2, label.index), rho)))
@@ -369,6 +370,51 @@ def template_configurations(draw):
     sys = SpinSystem(nu1=b1 * r, nu2=b2 * r, j=2 * k * r, t2=t2)
     assert all((center / r).is_integer() for center, _ in line_centers(sys))
     return sys, acq
+
+
+def _log_uniform(low_exp: float, high_exp: float):
+    return st.floats(low_exp, high_exp).map(lambda x: 10**x)
+
+
+@st.composite
+def accepted_configurations(draw):
+    """Any system ``SpinSystem`` accepts, with a non-aliasing acquisition at
+    1024 to 4096 points: J, the gap |nu1 - nu2| - 10 J and T2 log-uniform in
+    [1e-300, 1e300] (the gap no smaller than 1e-15 of 10 J, below which
+    10 J + gap rounds to 10 J), nu1 zero or of either sign up to 1e12 times
+    the separation (and 1e300), and a width 1.0001 to 1e4 times the
+    aliasing limit."""
+    j = draw(_log_uniform(-300.0, 300.0))
+    separation = 10 * j + draw(_log_uniform(max(-300.0, math.log10(10 * j) - 15.0), 300.0))
+    reach = min(300.0, math.log10(separation) + 12.0)
+    nu1 = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(_log_uniform(-300.0, reach))
+    try:
+        sys = SpinSystem(
+            nu1=nu1,
+            nu2=nu1 - draw(st.sampled_from([-1.0, 1.0])) * separation,
+            j=j,
+            t2=draw(_log_uniform(-300.0, 300.0)),
+        )
+    except ValueError:  # the gap was lost in rounding 10 J + gap or nu1 - separation
+        assume(False)
+    limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
+    acq = AcquisitionParams(
+        spectral_width=limit * draw(_log_uniform(math.log10(1.0001), 4.0)),
+        n_points=draw(st.sampled_from([1024, 2048, 4096])),
+        observe_phase=draw(st.floats(0.0, 360.0, exclude_max=True)),
+    )
+    return sys, acq
+
+
+def _wide_offsets(r):
+    """nu = +-7r Hz, J = 7 Hz and a 30r Hz width at 1024 points."""
+    return SpinSystem(nu1=7 * r, nu2=-7 * r, j=7.0), AcquisitionParams(30 * r, 1024)
+
+
+FAR_APART = (
+    SpinSystem(nu1=1e300, nu2=-1e300, j=1e-10),
+    AcquisitionParams(spectral_width=1e301, n_points=1024),
+)
 
 
 def error_models():
@@ -696,10 +742,21 @@ class TestLineIntegrals:
                 residue = abs(math.degrees(np.angle(window.coefficient / exact.coefficient)))
                 assert residue <= 15.0
 
-    @given(configurations(j_max=20.0, t2_max=10.0), st.floats(0.05, 1.0, exclude_min=True))
+    @given(
+        st.one_of(configurations(j_max=20.0, t2_max=10.0), accepted_configurations()),
+        st.floats(0.05, 1.0, exclude_min=True),
+    )
+    @example(_wide_offsets(1e14), 1.0)
+    @example(_wide_offsets(1e15), 1.0)
+    @example(_wide_offsets(1e16), 1.0)
+    @example(FAR_APART, 1.0)
     def test_every_accepted_configuration_reads_all_labels(self, config, epsilon):
+        # free evolution keeps J's phase apart from the offsets', so the echo
+        # cancels any offset, and no phase that overflows raises a warning
         sys, acq = config
-        out = run_experiments(sys, acq, epsilon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = run_experiments(sys, acq, epsilon)
         assert out.reference_result.qubits == (0, 0)
         for run in out.runs:
             bits = (run.label.a, run.label.b)
@@ -707,6 +764,20 @@ class TestLineIntegrals:
             for height, peak in zip(run.result.line_heights, run.result.peaks):
                 expected = -epsilon if bits[peak.assigned_spin - 1] else epsilon
                 assert abs(height - expected) <= 1e-6
+
+    @given(accepted_configurations(), error_models(), st.floats(0.05, 1.0, exclude_min=True))
+    @example(FAR_APART, ErrorModel("soft-pulse", 2e-4), 1.0)
+    @example(_wide_offsets(1e16), ErrorModel("soft-pulse", 1e-6), 1.0)
+    def test_no_accepted_run_ends_in_a_numerical_error(self, config, err, epsilon):
+        # soft pulses may blur a readout into ambiguity, which is physics;
+        # no other error and no RuntimeWarning may end a run
+        sys, acq = config
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                run_experiments(sys, acq, epsilon, err)
+            except AmbiguousReadoutError:
+                assert err is not IDEAL
 
     @given(configurations(j_max=20.0, t2_max=10.0), error_models())
     def test_maximally_mixed_state_stays_under_the_no_signal_floor(self, config, err):

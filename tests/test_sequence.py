@@ -445,6 +445,45 @@ class TestPropagatorFold:
         want_u = per_event_unitary(FOLD_SYSTEM, unitary_events, err)
         assert np.max(np.abs(got_u - want_u)) <= 1e-12
 
+    @given(st.lists(fold_events, max_size=30), fold_errors, st.data())
+    def test_joined_sequences_match_per_event_fold(self, events, err, data):
+        # cut the events into parts, gradient-free stretches nested up to
+        # two deep as sub-sequences: the joined sequence is the flat one
+        def joined(chunk, depth):
+            parts = []
+            while chunk:
+                size = data.draw(st.integers(1, len(chunk)))
+                piece, chunk = chunk[:size], chunk[size:]
+                nest = depth < 2 and not any(isinstance(ev, Gradient) for ev in piece)
+                if nest and data.draw(st.booleans()):
+                    parts.append(joined(piece, depth + 1))
+                else:
+                    parts.extend(piece)
+            return PulseSequence.joined(tuple(parts), ("joined",))
+
+        seq = joined(list(events), 0)
+        flat = PulseSequence(tuple(events), ("joined",))
+        assert seq == flat and hash(seq) == hash(flat)
+        assert format_sequence(seq) == format_sequence(flat)
+        rho0 = random_density(3)
+        got = run_sequence(PropagatorTable(FOLD_SYSTEM, err), seq, rho0)
+        assert np.max(np.abs(got - per_event_fold(FOLD_SYSTEM, events, rho0, err))) <= 1e-12
+
+    def test_sub_sequence_with_gradient_has_no_propagator(self):
+        seq = PulseSequence.joined((P1, PulseSequence((P2, GRAD, P1))))
+        with pytest.raises(ValueError, match="gradient has no propagator"):
+            run_sequence(PropagatorTable(FOLD_SYSTEM), seq, pseudo_pure_00(1.0))
+
+    def test_plain_sequence_parts_are_its_events(self):
+        seq = PulseSequence((P1, TAU, GRAD))
+        assert seq.parts is seq.events
+        empty = PulseSequence.joined((PulseSequence(()),))
+        assert empty.events == ()
+        assert np.array_equal(
+            run_sequence(PropagatorTable(FOLD_SYSTEM), empty, pseudo_pure_00(0.3)),
+            pseudo_pure_00(0.3),
+        )
+
     def test_each_distinct_propagator_built_once(self, monkeypatch):
         built = []
         original = sequence.event_operator
@@ -498,9 +537,67 @@ class TestPropagatorTable:
                 run_experiments(sys, AcquisitionParams(), eps, err)
         assume(runs)
         for label, rho in zip(ALL_LABELS, runs):
-            program = reference_grover_program(label, sys)
+            # the package's own program on a table of its own: the same
+            # factors folded the same way, so sharing changes no bit
+            program = search_program(label, sys)
             want = run_sequence(PropagatorTable(sys, err), program, pseudo_pure_00(eps))
             assert np.array_equal(rho, want)
+
+    @given(
+        st.floats(40, 200),
+        st.floats(-200, -40),
+        st.floats(2, 7.5),
+        set_errors,
+        st.floats(0, 1, exclude_min=True),
+    )
+    def test_set_programs_match_per_event_fold(self, nu1, nu2, j, err, eps):
+        # each program, folded as five factors on the set's table, is the
+        # one-event-at-a-time fold of its 27 events to rounding
+        sys = SpinSystem(nu1=nu1, nu2=nu2, j=j)
+        runs = []
+
+        def recording(table, seq, rho0):
+            rho = run_sequence(table, seq, rho0)
+            runs.append((seq, rho0, rho))
+            return rho
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "run_sequence", recording)
+            with contextlib.suppress(AmbiguousReadoutError):
+                run_experiments(sys, AcquisitionParams(n_points=1024), eps, err)
+        assert len(runs) == len(ALL_LABELS)
+        for seq, rho0, rho in runs:
+            assert len(seq.events) == 27 and len(seq.parts) == 5
+            want = per_event_fold(sys, seq.events, rho0, err)
+            assert np.max(np.abs(rho - want)) <= 1e-12
+
+    @pytest.mark.parametrize("err", [IDEAL, SOFT], ids=["ideal", "soft"])
+    def test_set_folds_each_oracle_once(self, monkeypatch, err):
+        built, requested = [], []
+        original_operator = sequence.event_operator
+        original_propagator = PropagatorTable.propagator
+
+        def counting(sys, ev, err):
+            built.append(ev)
+            return original_operator(sys, ev, err)
+
+        def recording(table, part):
+            requested.append(part)
+            return original_propagator(table, part)
+
+        monkeypatch.setattr(sequence, "event_operator", counting)
+        monkeypatch.setattr(PropagatorTable, "propagator", recording)
+        run_experiments(FOLD_SYSTEM, AcquisitionParams(), 1.0, err)
+        assert len(built) == len(set(built)) == 15
+        sequences = [part for part in requested if isinstance(part, PulseSequence)]
+        events = [part for part in requested if not isinstance(part, PulseSequence)]
+        # two oracle parts a program, four distinct oracles a set: the f00
+        # oracle is also every program's |00> reflection
+        assert len(sequences) == 2 * len(ALL_LABELS)
+        assert len({id(seq) for seq in sequences}) == len(ALL_LABELS)
+        # each oracle's 12 events are read once, when its product is
+        # folded, beside the three pulses each program reads directly
+        assert len(events) == 12 * len(ALL_LABELS) + 3 * len(ALL_LABELS)
 
     def test_set_builds_each_distinct_event_once(self, monkeypatch):
         built = []

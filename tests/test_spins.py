@@ -33,6 +33,7 @@ from state_checks import (
     check_density_matrix,
     density_from_state,
     equal_up_to_global_phase,
+    factored_free_evolution,
     hamiltonian,
     state_00,
     temporal_average_00,
@@ -98,8 +99,14 @@ class TestFreeEvolution:
         sys = SpinSystem(nu1=nu1, nu2=nu1 - side * (10 * j + gap), j=j)
         h = hamiltonian(sys.nu1, sys.nu2, sys.j)
         assert energies(sys).tobytes() == np.diag(h).real.tobytes()
+        # the propagator is the factored reference bit for bit, and the
+        # exponential of the summed energies to the rounding of their phases:
+        # a few ulps per radian of the largest phase 2 pi t (|nu1| + |nu2| + J / 2) / 2
+        u = free_evolution(sys, t)
+        assert u.tobytes() == factored_free_evolution(sys, t).tobytes()
         reference = np.diag(np.exp(-2j * math.pi * t * np.diag(h)))
-        assert free_evolution(sys, t).tobytes() == reference.tobytes()
+        phase = 2 * math.pi * t * (abs(sys.nu1) / 2 + abs(sys.nu2) / 2 + sys.j / 4)
+        assert np.max(np.abs(u - reference)) <= 4 * np.finfo(float).eps * (1 + phase)
 
     @given(offsets, gaps)
     def test_unitary_and_diagonal(self, nu1, gap):
@@ -115,6 +122,25 @@ class TestSpinEcho:
         sys_a = SpinSystem(nu1=nu1, nu2=nu1 - gap, j=7.0)
         sys_b = SpinSystem(nu1=80.0, nu2=-80.0, j=7.0)
         assert np.max(np.abs(echo_unitary(sys_a) - echo_unitary(sys_b))) <= 1e-10
+
+    @given(
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(0.0, 300.0),
+        st.floats(math.log10(71.0), 300.0),
+    )
+    @example(1.0, 16.845, 17.146)
+    @example(1.0, 300.0, 300.301)
+    def test_offset_independent_at_any_offset(self, sign, offset_exp, gap_exp):
+        # each offset's phases are one spin's, which the 180-degree pulse
+        # conjugates, so they cancel however large; offsets stay within 1e12
+        # gaps, so that nu1 - gap keeps the gap
+        offset = sign * 10 ** min(offset_exp, gap_exp + 12)
+        sys_a = SpinSystem(nu1=offset, nu2=offset - 10**gap_exp, j=7.0)
+        sys_b = SpinSystem(nu1=80.0, nu2=-80.0, j=7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            echo = echo_unitary(sys_a)
+        assert np.max(np.abs(echo - echo_unitary(sys_b))) <= 1e-10
 
     def test_coupling_retained(self):
         # the sandwich equals its zero-shift value: 180x(both) times 1/(2J)
