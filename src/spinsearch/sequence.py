@@ -215,6 +215,18 @@ ORACLE_PHASE_TABLE = {
 ROW_FOR_LABEL = {label.name: label.swapped().name for label in ALL_LABELS}
 
 
+# Every hard pulse the compiler emits: 90 and 180 degrees on each target at
+# each named phase.  Events are immutable, so all programs share these
+# objects, and a propagator table finds each by identity instead of building
+# and comparing a new one per oracle.
+_PULSES = {
+    (target, angle, name): Pulse(target, angle, phase)
+    for target in _TARGET_WORDS.values()
+    for angle in (90.0, 180.0)
+    for name, phase in PHASE_DEG.items()
+}
+
+
 def compile_oracle(label: OracleLabel, sys: SpinSystem) -> PulseSequence:
     """Compile the sign-flip oracle for ``label`` into pulses and 1/(4J)
     delays.
@@ -228,25 +240,22 @@ def compile_oracle(label: OracleLabel, sys: SpinSystem) -> PulseSequence:
     """
     row_name = ROW_FOR_LABEL[label.name]
     row = ORACLE_PHASE_TABLE[row_name]
-    theta = PHASE_DEG[row.theta]
-    phi = PHASE_DEG[row.phi]
-    psi = PHASE_DEG[row.psi]
-    tau = sys.tau
+    tau = Delay(sys.tau)
     events = (
         # composite z on spin 1: Rz(+90) for theta=+y, Rz(-90) for theta=-y
-        Pulse(1, 90.0, PHASE_DEG["-x"]),
-        Pulse(2, 90.0, PHASE_DEG["+x"]),
-        Pulse(1, 90.0, theta),
-        Pulse(2, 90.0, psi),
-        Pulse(1, 90.0, PHASE_DEG["+x"]),
-        Pulse(2, 90.0, PHASE_DEG["-x"]),
+        _PULSES[1, 90.0, "-x"],
+        _PULSES[2, 90.0, "+x"],
+        _PULSES[1, 90.0, row.theta],
+        _PULSES[2, 90.0, row.psi],
+        _PULSES[1, 90.0, "+x"],
+        _PULSES[2, 90.0, "-x"],
         # J coupling for 1/(2J) with shifts refocused
-        Delay(tau),
-        Pulse(1, 180.0, phi),
-        Pulse(2, 180.0, phi),
-        Delay(tau),
-        Pulse(1, 180.0, phi),
-        Pulse(2, 180.0, PHASE_DEG["+x"]),
+        tau,
+        _PULSES[1, 180.0, row.phi],
+        _PULSES[2, 180.0, row.phi],
+        tau,
+        _PULSES[1, 180.0, row.phi],
+        _PULSES[2, 180.0, "+x"],
     )
     notes = (
         f"oracle {label.name}: sign flip on |{label.a}{label.b}>",
@@ -259,7 +268,7 @@ def compile_oracle(label: OracleLabel, sys: SpinSystem) -> PulseSequence:
 def hadamard_pair(inverse: bool = False) -> Pulse:
     """90(+y) pulse on both spins (the pseudo-Hadamard pair), or 90(-y) for
     the inverse."""
-    return Pulse(TARGET_BOTH, 90.0, PHASE_DEG["-y" if inverse else "+y"])
+    return _PULSES[TARGET_BOTH, 90.0, "-y" if inverse else "+y"]
 
 
 def grover_program(

@@ -278,6 +278,14 @@ class TestOracleCompiler:
                     varying += 1
         assert varying == 5
 
+    def test_programs_share_their_pulses(self):
+        # pulses are immutable, so a set's oracles and programs hold one
+        # object per distinct pulse, which a table finds by identity
+        oracles = {label: compile_oracle(label, SpinSystem()) for label in ALL_LABELS}
+        programs = [grover_program(label, oracles) for label in ALL_LABELS]
+        pulses = [ev for program in programs for ev in program if isinstance(ev, Pulse)]
+        assert len({id(ev) for ev in pulses}) == len(set(pulses)) < len(pulses)
+
     def test_variable_phases_drawn_from_table(self):
         sys = SpinSystem()
         for label in ALL_LABELS:
