@@ -33,12 +33,14 @@ def as_integer(name: str, value: object) -> int:
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """True iff max|U†U - I| <= tol."""
+    """True iff max|U†U - I| <= tol (False if U holds a nan or an inf)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     delta = u.conj().T @ u
-    delta.flat[:: u.shape[0] + 1] -= 1.0  # subtract I in place
+    # subtract I in place; the product is a new contiguous array, so ravel
+    # is a view of it (and cheaper than the flat iterator)
+    delta.ravel()[:: u.shape[0] + 1] -= 1.0
     return float(np.abs(delta).max()) <= tol
 
 

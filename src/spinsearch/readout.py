@@ -12,10 +12,11 @@ four line templates, each the closed-form DFT of one damped line.  The line
 basis (built by ``synthesize_fid``) holds the frequency grid and each
 template's closed-form constants; it depends only on the spin system and
 the acquisition.  ``detect`` builds the basis, takes an experiment set's
-states together and renders all their spectra in one pass over cache-sized
-stripes, evaluating each template's stripe once for every spectrum, with
-no FID, no FFT and no full-size template.  The readout reads each line by
-its coefficient, which no acquisition setting scales.
+states together and renders all their spectra into one (states, N) block in
+one pass over cache-sized stripes: each stripe is the (states x 4)
+coefficient matrix times the (4 x stripe) template rows, one matrix product,
+with no FID, no FFT and no full-size template.  The readout reads each line
+by its coefficient, which no acquisition setting scales.
 """
 
 from __future__ import annotations
@@ -41,11 +42,14 @@ OBSERVE_2 = np.kron(IDENTITY_2, RAISING)
 # programs of 2700 random valid systems, ideal and with t_p in [1e-6, 2e-4] s.
 MIN_LINE_COEFFICIENT = 1e-15
 
-# detect renders the spectra this many points at a time: four template
-# stripes, one complex and one real scratch stripe come to
-# 4 x 256 KiB + 256 KiB + 128 KiB = 1.375 MiB, inside a 2 MiB per-core L2
-# cache, beside the output stripe each spectrum receives in turn
+# detect renders the spectra this many points at a time: the four template
+# rows and one real scratch stripe come to 4 x 256 KiB + 128 KiB = 1.125 MiB,
+# inside a 2 MiB per-core L2 cache, and the matrix product reads the rows
+# from there for every spectrum's stripe
 _STRIPE = 16384
+
+# The largest n_points an acquisition accepts (see AcquisitionParams)
+MAX_POINTS = 2**20
 
 
 class AmbiguousReadoutError(RuntimeError):
@@ -59,6 +63,16 @@ class AcquisitionParams:
 
     Apodization is exponential at rate 1/T2 (taken from the spin system), so
     lines come out Lorentzian with FWHM 1/(pi*T2).
+
+    ``n_points`` is a power of two from 1024 to ``MAX_POINTS`` = 2**20, the
+    desk-scale limit (as n <= 20 qubits is for the search).  An experiment
+    set's five spectra are one block of 5 x 16 B x N = 80 N bytes, 80 MiB at
+    the limit.  With the grid (16 N bytes), the frequency axis (8 N) and the
+    integer range behind it (8 N), a set holds at most 112 N bytes, 112 MiB,
+    and its CSV export writes about 55 bytes a point, 275 MiB.  Past the
+    limit a run outgrows a desk machine (at 2**40 points the block alone
+    would be 80 TiB), so such a grid is rejected before anything is
+    allocated.
     """
 
     spectral_width: float = 512.0
@@ -74,6 +88,10 @@ class AcquisitionParams:
         n_points = as_integer("n_points", self.n_points)
         if n_points < 1024 or n_points & (n_points - 1):
             raise ValueError("n_points must be a power of two >= 1024")
+        if n_points > MAX_POINTS:
+            raise ValueError(
+                f"n_points must be at most {MAX_POINTS} (2**20, desk scale), got {n_points}"
+            )
         object.__setattr__(self, "n_points", n_points)
 
     @property
@@ -266,14 +284,17 @@ def detect(
     Each spectrum is the 4-term combination of the templates of the line
     basis for (sys, acq), built once per call by ``synthesize_fid``, with
     coefficients c = O_ji * rho_ij.  All spectra are rendered in one pass
-    over ``_STRIPE``-point stripes: each template's stripe is evaluated from
-    its closed form into a cache-sized buffer and added into every output,
-    so no full-size template or temporary is built.  The values are
-    bit-identical to the whole-array sum T0 * c0 + c1 * T1 + c2 * T2 + c3 * T3.
-    Each spectrum's values are a new array of their own; every spectrum
-    shares the basis's read-only frequency grid.  Each peak carries its
-    line's c, which the spectral width and the grid do not scale.  Raises
-    ValueError if the spectral width would alias the doublets.
+    over ``_STRIPE``-point stripes: the four templates' stripes are evaluated
+    from their closed forms into the rows of a cache-sized (4, stripe) array,
+    and one matrix product of the (states, 4) coefficients with it writes
+    that stripe of every spectrum, so no full-size template or temporary is
+    built.  The values are bit-identical to the whole-array product of the
+    coefficient matrix with the four stacked full-size templates.  The
+    spectra of one call are the rows of one new (states, N) array, no two
+    overlapping; every spectrum shares the basis's read-only frequency grid.
+    Each peak carries its line's c, which the spectral width and the grid do
+    not scale.  Raises ValueError if the spectral width would alias the
+    doublets.
     """
     lines = synthesize_fid(sys, acq)
     u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
@@ -286,21 +307,14 @@ def detect(
         return ()
     n = acq.n_points
     size = min(n, _STRIPE)
-    templates = [np.empty(size, dtype=complex) for _ in lines.couplings]
-    scratch = np.empty(size, dtype=complex)
-    real_scratch = np.empty(size)
-    spectra = [np.empty(n, dtype=complex) for _ in coefficients]
+    weights = np.array(coefficients)
+    templates = np.empty((len(lines.couplings), size), dtype=complex)
+    scratch = np.empty(size)
+    spectra = np.empty((len(coefficients), n), dtype=complex)
     for start in range(0, n, size):
         for k, template in enumerate(templates):
-            _template_stripe(lines, k, start, template, real_scratch)
-        for values, (c0, *rest) in zip(spectra, coefficients):
-            out = values[start : start + size]
-            np.multiply(templates[0], c0, out=out)
-            for c, template in zip(rest, templates[1:]):
-                # the coefficient first, as in c * template: the operand order
-                # changes the last bits of numpy's complex product
-                np.multiply(c, template, out=scratch)
-                out += scratch
+            _template_stripe(lines, k, start, template, scratch)
+        np.matmul(weights, templates, out=spectra[:, start : start + size])
     centers = line_centers(sys)
     return tuple(
         Spectrum(

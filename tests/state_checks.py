@@ -87,6 +87,17 @@ def temporal_average_00(populations) -> np.ndarray:
     return np.diag(avg).astype(complex)
 
 
+def reference_is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+    """max|U†U - I| <= tol, with I subtracted through the flat iterator: the
+    reference for ``core.is_unitary``."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    delta = u.conj().T @ u
+    delta.flat[:: u.shape[0] + 1] -= 1.0
+    return float(np.abs(delta).max()) <= tol
+
+
 def global_phase_factor(a: np.ndarray, b: np.ndarray) -> complex:
     """Unit-modulus c minimising a - c*b, read off b's largest entry."""
     b = np.asarray(b, dtype=complex).ravel()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from spinsearch import cli
 from spinsearch.cli import EXIT_CLASSIFICATION, EXIT_OK, EXIT_USAGE, main, parse_config_file
 from spinsearch.experiment import run_experiments
 from spinsearch.readout import AcquisitionParams
@@ -340,6 +341,22 @@ class TestPulseCommand:
                                "--out", str(fresh / "out"))
         assert code == expected
         assert out == ""
+        assert not fresh.exists()
+
+    def test_oversized_grid_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        # 2**40 points would need an 80 TiB block of spectra; the run must end
+        # at validation, so a set that starts fails the test, not the host
+        def no_set(*args, **kwargs):
+            raise AssertionError("an experiment set started")
+
+        monkeypatch.setattr(cli, "run_experiments", no_set)
+        path = tmp_path / "huge.cfg"
+        path.write_text("n_points = 1099511627776\n")
+        fresh = tmp_path / "fresh"
+        code, out, err = run_cli(capsys, "pulse", "--config", str(path), "--out", str(fresh))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "n_points must be at most 1048576" in err
         assert not fresh.exists()
 
     def test_env_var_overrides_out_dir(self, capsys, tmp_path, fast_config, monkeypatch):

@@ -20,6 +20,7 @@ from state_checks import (
     coherence_order,
     density_from_state,
     equal_up_to_global_phase,
+    reference_is_unitary,
 )
 
 
@@ -31,6 +32,25 @@ def small_complex_matrix(dim):
     return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim).map(
         np.array
     )
+
+
+@st.composite
+def unitarity_inputs(draw):
+    """A 4x4 or 2^n x 2^n matrix (n = 1 .. 5) and a tolerance near 1e-10:
+    a unitary (QR of a Gaussian matrix) perturbed by up to 1e-6 of an entry,
+    so that max|U†U - I| falls on both sides of the tolerance, or a Gaussian
+    matrix, with a nan, inf or -inf set in one entry of either."""
+    dim = draw(st.sampled_from([4, 2 ** draw(st.integers(1, 5))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaussian = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = gaussian
+    if draw(st.booleans()):
+        u, _ = np.linalg.qr(gaussian)
+        u = u + 10 ** draw(st.floats(-17.0, -6.0)) * rng.normal(size=(dim, dim))
+    if draw(st.booleans()):
+        special = draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan)]))
+        u[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = special
+    return u, 10 ** draw(st.floats(-12.0, -8.0))
 
 
 class TestKron:
@@ -184,3 +204,10 @@ class TestValidators:
 
     def test_is_unitary_rejects_rectangular(self):
         assert not is_unitary(np.ones((2, 3)))
+
+    @given(unitarity_inputs())
+    def test_is_unitary_matches_reference(self, inputs):
+        u, tol = inputs
+        # a nan or inf makes both products warn, as numpy does for any matmul
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert is_unitary(u, tol) is reference_is_unitary(u, tol)

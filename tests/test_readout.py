@@ -201,22 +201,40 @@ def _reference_templates(sys, acq):
     ]
 
 
-def _reference_combinations(sys, rhos, acq):
-    """detect's values for each rho as whole-array products of full-size
-    templates (what the fused stripe pass replaced): T0 * c0, then c * T
-    added for each other template, with c = O_ji * rho_ij after the crush
-    and the observe pulse."""
+def _set_coefficients(sys, rhos, acq):
+    """The (states, 4) array of c = O_ji * rho_ij after the crush and the
+    observe pulse, in the basis's coupling order."""
     couplings = synthesize_fid(sys, acq).couplings
+    observed = [_observed(rho, acq) for rho in rhos]
+    return np.array([[o_ji * rho[i, j] for i, j, o_ji in couplings] for rho in observed])
+
+
+def _reference_combinations(sys, rhos, acq):
+    """detect's values for each rho as the whole-array product of the
+    coefficient matrix and the four full-size templates (what the stripe
+    pass replaced)."""
+    return list(_set_coefficients(sys, rhos, acq) @ np.stack(_reference_templates(sys, acq)))
+
+
+def _reference_elementwise_combinations(sys, rhos, acq):
+    """Each rho's values as elementwise products of full-size templates (what
+    the matrix product replaced): T0 * c0, then c * T added for each other
+    template."""
     templates = _reference_templates(sys, acq)
     combinations = []
-    for rho in rhos:
-        rho = _observed(rho, acq)
-        coefficients = [o_ji * rho[i, j] for i, j, o_ji in couplings]
+    for coefficients in _set_coefficients(sys, rhos, acq):
         values = np.multiply(templates[0], coefficients[0])
         for c, template in zip(coefficients[1:], templates[1:]):
             values += c * template
         combinations.append(values)
     return combinations
+
+
+def _gamma(roundings):
+    """gamma_n = n u / (1 - n u), u = eps / 2: the largest relative error of
+    a float64 result that passed through n roundings."""
+    u = np.finfo(float).eps / 2
+    return roundings * u / (1 - roundings * u)
 
 
 def _reference_write_summary_json(path, documents):
@@ -447,12 +465,21 @@ class TestAcquisitionParams:
         assert ACQ.dwell == pytest.approx(1 / 512)
         assert ACQ.resolution == pytest.approx(0.125)
 
-    @pytest.mark.parametrize("n", [512, 1000, 4095, 4096.0, 4096.5, "4096"])
+    @pytest.mark.parametrize(
+        "n", [512, 1000, 4095, 4096.0, 4096.5, "4096", 2**21, 2**40, np.int64(2**62)]
+    )
     def test_n_points_validation(self, n):
         with pytest.raises(ValueError):
             AcquisitionParams(n_points=n)
 
-    @pytest.mark.parametrize("n", [4096, np.int64(4096), np.int32(1024), np.uint16(2048)])
+    def test_n_points_limit_is_named(self):
+        assert readout.MAX_POINTS == 2**20
+        with pytest.raises(ValueError, match="n_points must be at most 1048576 "):
+            AcquisitionParams(n_points=2**40)
+
+    @pytest.mark.parametrize(
+        "n", [4096, np.int64(4096), np.int32(1024), np.uint16(2048), 2**17, 2**20]
+    )
     def test_integer_n_points_accepted(self, n):
         acq = AcquisitionParams(n_points=n)
         assert acq.n_points == n
@@ -569,6 +596,57 @@ class TestLineBasis:
         for spec, values in zip(spectra, _reference_combinations(sys, rhos, acq)):
             assert np.array_equal(spec.values, values)
 
+    @given(detection_inputs(), st.lists(states(), max_size=3))
+    def test_render_within_rounding_of_elementwise_sum(self, inputs, others):
+        # Each part (real or imaginary) of sum_k c_k T_k is a dot product of
+        # eight real terms whose magnitudes add up to at most
+        # S = sum_k |c_k| |T_k| (Cauchy-Schwarz on each complex product).  The
+        # elementwise sum rounds a term at most 5 times (the product, the
+        # difference inside the complex product, three additions); a BLAS
+        # kernel, in any order and with or without fused multiply-adds, at
+        # most 8.  Both start from the same template bits.
+        sys, acq, rho = inputs
+        rhos = [rho, *others]
+        templates = np.stack(_reference_templates(sys, acq))
+        sizes = np.abs(_set_coefficients(sys, rhos, acq)) @ np.abs(templates)
+        elementwise = _reference_elementwise_combinations(sys, rhos, acq)
+        for spec, values, size in zip(detect(sys, rhos, acq), elementwise, sizes):
+            bound = (_gamma(5) + _gamma(8)) * size
+            assert np.all(np.abs(spec.values.real - values.real) <= bound)
+            assert np.all(np.abs(spec.values.imag - values.imag) <= bound)
+
+    @given(detection_inputs(), st.lists(states(), max_size=3))
+    @example(
+        (
+            SpinSystem(nu1=200.0, nu2=-200.0, j=7.0, t2=4.0),
+            AcquisitionParams(spectral_width=1024.0, n_points=131072, observe_phase=37.0),
+            state_00(),
+        ),
+        [rho_basis(1), rho_basis(2), rho_basis(3), np.eye(4, dtype=complex) / 4],
+    )
+    def test_each_spectrum_sums_to_its_line_coefficients(self, inputs, others):
+        # A template sums to N/2, so a spectrum sums to (N/2) sum_k c_k.  Per
+        # part, a computed template point is within 12 roundings of the exact
+        # one, relative to |T| + 1/2 (the quotient before the half is taken
+        # off); the render adds 8 (see above) and numpy's pairwise sum
+        # 16 + 3 + log2(N / 128) (eight accumulators over blocks of 128
+        # points, then halving).  A stripe left unwritten, or written over
+        # another stripe or into another spectrum's row, moves the sum far
+        # past this.
+        sys, acq, rho = inputs
+        rhos = [rho, *others]
+        n = acq.n_points
+        sizes = np.abs(np.stack(_reference_templates(sys, acq))).sum(axis=1) + n / 2
+        weights = np.abs(_set_coefficients(sys, rhos, acq)) @ sizes
+        spectra = detect(sys, rhos, acq)
+        assert len(spectra) == len(rhos)
+        for spec, weight in zip(spectra, weights):
+            expected = n / 2 * sum(p.coefficient for p in spec.peaks)
+            total = np.sum(spec.values)
+            bound = _gamma(12 + 8 + 16 + 3 + int(math.log2(n // 128))) * weight
+            assert abs(total.real - expected.real) <= bound
+            assert abs(total.imag - expected.imag) <= bound
+
     @pytest.mark.parametrize("n_points", [16384, 32768, 131072], ids=["1", "2", "8"])
     def test_stripes_equal_whole_array_combination_at_high_resolution(self, n_points):
         # 1, 2 and 8 stripes, where every line's roll wraps inside a stripe;
@@ -651,9 +729,9 @@ class TestLineBasis:
 
     def test_experiment_set_allocates_no_full_size_template(self):
         # tracemalloc counts allocated bytes, which do not depend on the host.
-        # At its peak a 131072-point set holds its five spectra, the frequency
-        # axis, the grid and detect's stripe buffers (four template stripes,
-        # one complex and one real scratch stripe); the bound adds one more
+        # At its peak a 131072-point set holds its block of five spectra, the
+        # frequency axis, the grid and detect's stripe buffers (four template
+        # stripes and one real scratch stripe); the bound adds one more
         # axis-sized block for the largest transient, the integer arange
         # behind the axis.  One full-size template (16 N bytes) more would
         # not fit.
@@ -663,7 +741,7 @@ class TestLineBasis:
         spectra = 5 * 16 * n
         axis = 8 * n
         grid = 16 * n
-        buffers = (4 + 1) * 16 * stripe + 8 * stripe
+        buffers = 4 * 16 * stripe + 8 * stripe
         transient = 8 * n
         bound = spectra + axis + grid + buffers + transient
         tracing = tracemalloc.is_tracing()
