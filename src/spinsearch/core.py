@@ -37,9 +37,11 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    delta = u.conj().T @ u
-    # subtract I in place; the product is a new contiguous array, so ravel
-    # is a view of it (and cheaper than the flat iterator)
+    # U†U through einsum, which, unlike matmul, raises no RuntimeWarning when
+    # a nan, an inf or an overflow enters the product (the max is then nan or
+    # inf and the verdict False); subtract I in place through a ravel view of
+    # the new contiguous product
+    delta = np.einsum("ji,jk->ik", u.conj(), u)
     delta.ravel()[:: u.shape[0] + 1] -= 1.0
     return float(np.abs(delta).max()) <= tol
 

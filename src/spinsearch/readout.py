@@ -6,21 +6,26 @@ evolution, sampled at dwell 1/spectral_width.  Each spin contributes a
 doublet at nu_i +/- J/2; after phasing against a reference, a positive
 absorption pair reads as qubit value 0 and a negative pair as 1.
 
-The signal is linear in rho and has four known lines, so its spectrum (the
-fftshifted DFT of the FID with its first point halved) is a combination of
-four line templates, each the closed-form DFT of one damped line.  The line
-basis (built by ``synthesize_fid``) holds the frequency grid and each
-template's closed-form constants; it depends only on the spin system and
-the acquisition.  ``detect`` builds the basis, takes an experiment set's
-states together and renders all their spectra into one (states, N) block in
-one pass over cache-sized stripes: each stripe is the (states x 4)
-coefficient matrix times the (4 x stripe) template rows, one matrix product,
-with no FID, no FFT and no full-size template.  The readout reads each line
-by its coefficient, which no acquisition setting scales.
+The signal is linear in rho and has four known lines, one table of them
+(``_LINES``): spin s flips with the other spin, the spectator, in |0> or
+|1>, which gives the coherence rho_ij and the line's position nu_s + J/2 or
+nu_s - J/2.  So the spectrum (the fftshifted DFT of the FID with its first
+point halved) is a combination of four line templates, each the closed-form
+DFT of one damped line at the position its peak reports.  The line basis
+(built by ``synthesize_fid``) holds the table in frequency order, the
+frequency grid and each template's closed-form constants; it depends only
+on the spin system and the acquisition.  ``detect`` builds the basis, reads
+an experiment set's states as one stack (one crush, one observe product,
+one pick of the four coherences) and renders all their spectra into one
+(states, N) block in one pass over cache-sized stripes: each stripe is the
+(states x 4) coefficient matrix times the (4 x stripe) template rows, one
+matrix product, with no FID, no FFT and no full-size template.  The readout
+reads each line by its coefficient, which no acquisition setting scales.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -30,12 +35,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IDENTITY_2, IX, IY, as_integer
-from .spins import SpinSystem, energies, gradient_crush, ideal_pulse
+from .core import as_integer
+from .spins import SpinSystem, gradient_crush, ideal_pulse
 
-RAISING = IX + 1j * IY  # |0><1| on one spin
-OBSERVE_1 = np.kron(RAISING, IDENTITY_2)
-OBSERVE_2 = np.kron(IDENTITY_2, RAISING)
+# The four lines of the observable I1+ + I2+, one row (s, m, i, j) each: spin s
+# is in |1> in basis state i and in |0> in j (first spin the most significant
+# bit), the spectator spin in the same state m in both, so O_ji = 1 and the
+# line's coefficient is rho_ij.  With the spectator in |0> (m = +1/2) the line
+# sits at nu_s + J/2, in |1> (m = -1/2) at nu_s - J/2.
+_LINES = (
+    (1, -0.5, 3, 1),
+    (1, 0.5, 2, 0),
+    (2, -0.5, 3, 2),
+    (2, 0.5, 1, 0),
+)
 
 # A line coefficient at or below this magnitude is no signal (reference_phase,
 # classify): 4.5 times the largest |c|, 2.2e-16, that I/4 kept through the search
@@ -136,15 +149,14 @@ class ReadoutResult:
         return self.qubit1, self.qubit2
 
 
-def line_centers(sys: SpinSystem) -> tuple[tuple[float, int], ...]:
-    """The four predicted line positions, ascending, with the owning spin."""
-    lines = [
-        (sys.nu1 - sys.j / 2, 1),
-        (sys.nu1 + sys.j / 2, 1),
-        (sys.nu2 - sys.j / 2, 2),
-        (sys.nu2 + sys.j / 2, 2),
+def line_table(sys: SpinSystem) -> tuple[tuple[float, int, int, int], ...]:
+    """The four lines as (centre in Hz, owner spin, i, j), ascending in
+    frequency: each row of ``_LINES`` at nu_s + m J for the coherence rho_ij."""
+    rows = [
+        ((sys.nu1 if spin == 1 else sys.nu2) + m * sys.j, spin, i, j)
+        for spin, m, i, j in _LINES
     ]
-    return tuple(sorted(lines))
+    return tuple(sorted(rows, key=lambda row: row[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,48 +164,44 @@ class LineBasis:
     """The rho-independent part of detection for one spin system and
     acquisition.
 
-    ``couplings`` lists the (i, j, O_ji) coherences the observable picks up,
-    in detection order.  The template of each coherence (the fftshifted
-    spectrum of its damped line with unit coefficient, see
-    ``synthesize_fid``) is held in closed form, never as an N-point array:
-    ``line_constants`` gives, in the same order, each line's roll p % N,
-    rotation exp(i pi delta / N) and numerator 1 - a**N, and ``damping``
-    the (2 exp(-gamma), -expm1(-gamma)) all four lines share.  ``grid``
-    holds sin + i cos of pi q / N on the fftshifted grid q = -N/2 .. N/2 - 1
-    and ``freq_hz`` the frequency of each point.  ``line_couplings`` gives,
-    for each line in ``line_centers`` order, the index of its coherence in
-    ``couplings``.  Every array is read-only.
+    ``lines`` is ``line_table(sys)``: the four lines in frequency order,
+    each with its centre, owner spin and the coherence (i, j) whose rho_ij
+    is its coefficient.  The template of each line (the fftshifted spectrum
+    of its damped line with unit coefficient, see ``synthesize_fid``) is
+    held in closed form, never as an N-point array: ``line_constants``
+    gives, in the same order, each line's roll p % N, rotation
+    exp(i pi delta / N) and numerator 1 - a**N, and ``damping`` the
+    (2 exp(-gamma), -expm1(-gamma)) all four lines share.  ``grid`` holds
+    sin + i cos of pi q / N on the fftshifted grid q = -N/2 .. N/2 - 1 and
+    ``freq_hz`` the frequency of each point.  Every array is read-only.
     """
 
-    couplings: tuple[tuple[int, int, np.complex128], ...]
+    lines: tuple[tuple[float, int, int, int], ...]
     line_constants: tuple[tuple[int, complex, complex], ...]
     damping: tuple[float, float]
     grid: np.ndarray
     freq_hz: np.ndarray
-    line_couplings: tuple[int, ...]
 
 
 def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     """Build the line basis the spectrum of any rho's FID is a combination of.
 
-    The FID is linear in rho: each of the four observable coherences rho_ij
-    evolves as exp(-i 2 pi (E_i - E_j) t), couples to O_ji and decays at
-    rate 1/T2, so sample n of its line is a**n with
-    a = exp((-i 2 pi (E_i - E_j) - 1/T2) * dwell).  With the first point
-    halved, the line's N-point DFT is T[m] = (1 - a**N) / (1 - a w**m) - 1/2,
-    w = exp(-i 2 pi / N).  The basis holds the grid and each line's
-    constants from which ``_template_stripe`` evaluates any stretch of T
-    without cancellation for any T2; it depends only on (sys, acq).  Raises
-    ValueError if the spectral width would alias the doublets.
+    The FID is linear in rho: each line of ``line_table(sys)`` is a
+    coherence rho_ij that evolves as exp(i 2 pi f t) at the line's centre f
+    and decays at rate 1/T2, so sample n of its line is a**n with
+    a = exp((i 2 pi f - 1/T2) * dwell).  With the first point halved, the
+    line's N-point DFT is T[m] = (1 - a**N) / (1 - a w**m) - 1/2,
+    w = exp(-i 2 pi / N), and sits at the centre the line's peak reports.
+    The basis holds the grid and each line's constants from which
+    ``_template_stripe`` evaluates any stretch of T without cancellation for
+    any T2; it depends only on (sys, acq).  Raises ValueError if the
+    spectral width would alias the doublets.
     """
     limit = 2 * (max(abs(sys.nu1), abs(sys.nu2)) + sys.j)
     if acq.spectral_width <= limit:
         raise ValueError(f"spectral width too small: lines would alias (need > {limit} Hz)")
     n = acq.n_points
-    levels = energies(sys)
-    observe = OBSERVE_1 + OBSERVE_2
-    rows, cols = np.nonzero(observe.T)
-    couplings = tuple((int(i), int(j), observe[j, i]) for i, j in zip(rows, cols))
+    lines = line_table(sys)
     # grid = i exp(-i pi q / N) = sin(pi q / N) + i cos(pi q / N) on the
     # fftshifted grid q = -N/2 .. N/2 - 1, filled by symmetry from
     # sin(pi k / N), k = 0 .. N/2, with cos(pi q / N) = sin(pi (N/2 - |q|) / N)
@@ -208,16 +216,12 @@ def synthesize_fid(sys: SpinSystem, acq: AcquisitionParams) -> LineBasis:
     # 1.0, and raising it there keeps each template's denominator nonzero
     gamma = max(acq.dwell / sys.t2, np.finfo(float).tiny)
     line_constants = tuple(
-        _line_constants((levels[j] - levels[i]) * acq.dwell * n, gamma, n) for i, j, _ in couplings
+        _line_constants(center * acq.dwell * n, gamma, n) for center, *_ in lines
     )
     damping = (2 * math.exp(-gamma), -math.expm1(-gamma))
     # fftshift(fftfreq(n, dwell)) in one step: the same integers times 1/(n dwell)
     freq = np.arange(-half, half) * (1.0 / (n * acq.dwell))
-    # coherence (i, j) sits at E_j - E_i; line_centers ascends in frequency too
-    line_couplings = tuple(np.argsort([levels[j] - levels[i] for i, j, _ in couplings]).tolist())
-    return LineBasis(
-        couplings, line_constants, damping, _read_only(grid), _read_only(freq), line_couplings
-    )
+    return LineBasis(lines, line_constants, damping, _read_only(grid), _read_only(freq))
 
 
 def _line_constants(position: float, gamma: float, n: int) -> tuple[int, complex, complex]:
@@ -281,51 +285,49 @@ def detect(
     """Crush gradients, fire the observe pulse and return the FID's spectrum
     for each density matrix of ``rhos``, in order (``()`` for none).
 
-    Each spectrum is the 4-term combination of the templates of the line
-    basis for (sys, acq), built once per call by ``synthesize_fid``, with
-    coefficients c = O_ji * rho_ij.  All spectra are rendered in one pass
-    over ``_STRIPE``-point stripes: the four templates' stripes are evaluated
-    from their closed forms into the rows of a cache-sized (4, stripe) array,
-    and one matrix product of the (states, 4) coefficients with it writes
-    that stripe of every spectrum, so no full-size template or temporary is
+    The states are read as one (states, 4, 4) stack: one ``gradient_crush``,
+    one batched observe product U rho U^dagger and one pick of each line's
+    coherence through the (i, j) index arrays of the line basis for
+    (sys, acq), built once per call by ``synthesize_fid``, give the
+    (states, 4) line coefficients c = rho_ij in frequency order.  Each
+    spectrum is the 4-term combination of the basis's templates with its
+    coefficients.  All spectra are rendered in one pass over
+    ``_STRIPE``-point stripes: the four templates' stripes are evaluated
+    from their closed forms into the rows of a cache-sized (4, stripe)
+    array, and one matrix product of the coefficients with it writes that
+    stripe of every spectrum, so no full-size template or temporary is
     built.  The values are bit-identical to the whole-array product of the
     coefficient matrix with the four stacked full-size templates.  The
     spectra of one call are the rows of one new (states, N) array, no two
     overlapping; every spectrum shares the basis's read-only frequency grid.
-    Each peak carries its line's c, which the spectral width and the grid do
-    not scale.  Raises ValueError if the spectral width would alias the
-    doublets.
+    Each peak carries its line's centre, owner spin and c, which the
+    spectral width and the grid do not scale.  Raises ValueError if the
+    spectral width would alias the doublets.
     """
     lines = synthesize_fid(sys, acq)
-    u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
-    u_obs_dagger = u_obs.conj().T
-    coefficients = []
-    for rho in rhos:
-        rho = u_obs @ gradient_crush(np.asarray(rho, dtype=complex)) @ u_obs_dagger
-        coefficients.append([o_ji * rho[i, j] for i, j, o_ji in lines.couplings])
-    if not coefficients:
+    stack = np.asarray(rhos, dtype=complex)
+    if len(stack) == 0:
         return ()
+    u_obs = ideal_pulse("both", 90.0, acq.observe_phase)
+    observed = u_obs @ gradient_crush(stack) @ u_obs.conj().T
+    _, _, rows, cols = zip(*lines.lines)
+    weights = observed[:, rows, cols]
     n = acq.n_points
     size = min(n, _STRIPE)
-    weights = np.array(coefficients)
-    templates = np.empty((len(lines.couplings), size), dtype=complex)
+    templates = np.empty((len(lines.lines), size), dtype=complex)
     scratch = np.empty(size)
-    spectra = np.empty((len(coefficients), n), dtype=complex)
+    spectra = np.empty((len(weights), n), dtype=complex)
     for start in range(0, n, size):
         for k, template in enumerate(templates):
             _template_stripe(lines, k, start, template, scratch)
         np.matmul(weights, templates, out=spectra[:, start : start + size])
-    centers = line_centers(sys)
     return tuple(
         Spectrum(
             lines.freq_hz,
             values,
-            tuple(
-                Peak(center, complex(c[k]), spin)
-                for (center, spin), k in zip(centers, lines.line_couplings)
-            ),
+            tuple(Peak(center, c, spin) for (center, spin, _, _), c in zip(lines.lines, row)),
         )
-        for values, c in zip(spectra, coefficients)
+        for values, row in zip(spectra, weights.tolist())
     )
 
 
@@ -334,18 +336,20 @@ def reference_phase(ref: Spectrum) -> float:
     the reference into positive absorption.
 
     The phase is that of the summed line coefficients, which are exact, so
-    every line of a common-phase reference lies on it to rounding.  Raises
-    AmbiguousReadoutError when no |coefficient| exceeds ``MIN_LINE_COEFFICIENT``
-    or when some line lies more than 15 degrees off that phase (a sign the
-    input is not a valid reference); the message quotes the largest residue.
+    every line of a common-phase reference lies on it to rounding.  The
+    lines are summed pairwise in frequency order (four lines as the sum of
+    the two doublets' sums).  Raises AmbiguousReadoutError when no
+    |coefficient| exceeds ``MIN_LINE_COEFFICIENT`` or when some line lies
+    more than 15 degrees off that phase (a sign the input is not a valid
+    reference); the message quotes the largest residue.
     """
-    coefficients = np.array([p.coefficient for p in ref.peaks])
-    significant = coefficients[np.abs(coefficients) > MIN_LINE_COEFFICIENT]
-    if significant.size == 0:
+    significant = [p.coefficient for p in ref.peaks if abs(p.coefficient) > MIN_LINE_COEFFICIENT]
+    if not significant:
         raise AmbiguousReadoutError("reference spectrum has no detectable peaks")
-    phase = math.degrees(np.angle(np.sum(significant)))
-    rotated = significant * np.exp(-1j * math.radians(phase))
-    residue = float(np.max(np.degrees(np.abs(np.angle(rotated)))))
+    total = sum(sum(significant[k : k + 2]) for k in range(0, len(significant), 2))
+    phase = math.degrees(cmath.phase(total))
+    rot = cmath.exp(-1j * math.radians(phase))
+    residue = max(abs(math.degrees(cmath.phase(c * rot))) for c in significant)
     if residue > 15.0:
         raise AmbiguousReadoutError(
             f"reference lines do not share a common phase (largest residue {residue:.1f}° > 15°)"
@@ -364,13 +368,13 @@ def classify(spec: Spectrum, phase_corr: float, reference: Spectrum) -> ReadoutR
     spectral width, when a reference line has no |coefficient| above
     ``MIN_LINE_COEFFICIENT``, or when a doublet has none or its lines disagree.
     """
-    rot = np.exp(-1j * math.radians(phase_corr))
-    coefficients = np.array([(p.coefficient * rot).real for p in spec.peaks])
-    scale = np.array([(p.coefficient * rot).real for p in reference.peaks])
+    rot = cmath.exp(-1j * math.radians(phase_corr))
+    coefficients = [(p.coefficient * rot).real for p in spec.peaks]
+    scale = [(p.coefficient * rot).real for p in reference.peaks]
     for p, c in zip(reference.peaks, scale):
         if abs(c) <= MIN_LINE_COEFFICIENT:
             raise AmbiguousReadoutError(f"no signal in the reference line at {p.center_hz:g} Hz")
-    heights = coefficients / scale
+    heights = [c / s for c, s in zip(coefficients, scale)]
     values: dict[int, int] = {}
     for spin in (1, 2):
         pair = [k for k, p in enumerate(spec.peaks) if p.assigned_spin == spin]
@@ -383,10 +387,9 @@ def classify(spec: Spectrum, phase_corr: float, reference: Spectrum) -> ReadoutR
             raise AmbiguousReadoutError(f"spin-{spin} doublet lines disagree in sign ({quoted})")
         values[spin] = 0 if signs.pop() else 1
     peaks = tuple(
-        Peak(p.center_hz, float(v), p.assigned_spin)
-        for p, v in zip(spec.peaks, coefficients)
+        Peak(p.center_hz, v, p.assigned_spin) for p, v in zip(spec.peaks, coefficients)
     )
-    return ReadoutResult(values[1], values[2], tuple(float(h) for h in heights), peaks)
+    return ReadoutResult(values[1], values[2], tuple(heights), peaks)
 
 
 def write_spectrum_csv(path: str, spec: Spectrum) -> None:

@@ -1,5 +1,5 @@
-"""Two-spin dynamics: weak-coupling energy levels, RF pulse propagators,
-gradient crushers and effective pure states.  ``pseudo_pure_00(1.0)`` is the
+"""Two-spin dynamics: free evolution, RF pulse propagators, gradient
+crushers and effective pure states.  ``pseudo_pure_00(1.0)`` is the
 package's one |00><00| density matrix.
 
 All frequencies are rotating-frame offsets in Hz; propagators are
@@ -90,15 +90,6 @@ class ErrorModel:
 IDEAL = ErrorModel()
 
 
-def energies(sys: SpinSystem) -> np.ndarray:
-    """The four product-basis energies nu1 m1 + nu2 m2 + J m1 m2 in Hz, the
-    diagonal of the weak-coupling Hamiltonian nu1 Iz1 + nu2 Iz2 + J Iz1 Iz2
-    (m = +1/2 for |0>, -1/2 for |1>)."""
-    return np.array(
-        [sys.nu1 * m1 + sys.nu2 * m2 + sys.j * m1 * m2 for m1 in (0.5, -0.5) for m2 in (0.5, -0.5)]
-    )
-
-
 def _turn_phase(turns: float) -> complex:
     """exp(-i 2*pi*turns), with the turns reduced modulo one by math.fmod.  A
     product that overflowed is, like every float at or above 2**53, a whole
@@ -115,7 +106,7 @@ def free_evolution(sys: SpinSystem, t: float) -> np.ndarray:
     diagonal factors, one each for nu1 m1, nu2 m2 and J m1 m2, each phase
     taken in turns.  J keeps its own phase however far the offsets exceed
     it, and the 180-degree echo, which conjugates each offset's factor,
-    cancels any offset, as the summed level energies would not once J falls
+    cancels any offset, as summed level energies would not once J falls
     below their rounding.
     """
     if t < 0:
@@ -174,11 +165,6 @@ def ideal_pulse(target: int | str, flip_deg: float, phase_deg: float) -> np.ndar
     raise ValueError(f"unknown pulse target {target!r}")
 
 
-def _rotation_overflow(t_p: float) -> ValueError:
-    """The usage error for a soft pulse too long to take its rotation."""
-    return ValueError(f"soft pulse t_p = {t_p!r} s is too long: the pulse's rotation overflows")
-
-
 def soft_pulse(
     sys: SpinSystem, target: int, flip_deg: float, phase_deg: float, t_p: float
 ) -> np.ndarray:
@@ -194,8 +180,11 @@ def soft_pulse(
     whole pulse, flip_deg from the RF term and 360 J m t_p from the
     coupling, so t_p is never a divisor: any positive t_p down to the
     smallest subnormal runs, and as t_p -> 0 the pulse becomes
-    ``ideal_pulse`` with its exact rotation angle.  A t_p so long that the
-    coupling rotation or a precession phase overflows raises ValueError.
+    ``ideal_pulse`` with its exact rotation angle.  The spectator's
+    precession and the frame's phase are taken in turns through
+    ``_turn_phase``, as ``free_evolution`` takes its phases, so a phase far
+    above 1/t_p keeps its digits and one that overflows is whole turns.  A
+    t_p so long that the coupling rotation overflows raises ValueError.
     """
     if t_p <= 0:
         raise ValueError("soft pulse duration must be positive")
@@ -212,9 +201,10 @@ def soft_pulse(
         # with omega1 t_p = flip/360: a rotation by hypot(flip, 360 J m t_p) degrees
         coupling_deg = 360.0 * sys.j * m * t_p
         angle_deg = math.hypot(flip_deg, coupling_deg)
-        precession = -2j * math.pi * t_p * (spectator - carrier) * m
-        if not (math.isfinite(angle_deg) and cmath.isfinite(precession)):
-            raise _rotation_overflow(t_p)
+        if not math.isfinite(angle_deg):
+            raise ValueError(
+                f"soft pulse t_p = {t_p!r} s is too long: the pulse's rotation overflows"
+            )
         # a 0-degree pulse whose coupling term underflows to 0 is the identity
         norm = angle_deg or 1.0
         (a, b), (c, d) = _su2(
@@ -223,13 +213,10 @@ def soft_pulse(
             flip_deg * math.sin(phi) / norm,
             coupling_deg / norm,
         )
-        phase = cmath.exp(precession)
+        phase = _turn_phase(t_p * (spectator - carrier) * m)
         blocks.append(((phase * a, phase * b), (phase * c, phase * d)))
     # back to the shared frame: exp(-i 2 pi carrier t_p Fz), Fz = diag(1, 0, 0, -1)
-    frame_phase = -2j * math.pi * carrier * t_p
-    if not cmath.isfinite(frame_phase):
-        raise _rotation_overflow(t_p)
-    frame = cmath.exp(frame_phase)
+    frame = _turn_phase(carrier * t_p)
     u = _embed(target, blocks)
     u[0] *= frame
     u[3] *= frame.conjugate()
@@ -239,11 +226,13 @@ def soft_pulse(
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
     """Zero every density-matrix element with nonzero coherence order.
 
-    Populations and zero-quantum coherences survive; the result stays
-    Hermitian with unit trace.  Idempotent.
+    ``rho`` is one 2^n x 2^n density matrix or a stack of them, shape
+    (..., 2^n, 2^n), each crushed alone.  Populations and zero-quantum
+    coherences survive; the result stays Hermitian with unit trace.
+    Idempotent.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0].bit_length() - 1
+    n = rho.shape[-1].bit_length() - 1
     orders = coherence_order_matrix(n)
     return np.where(orders == 0, rho, 0.0)
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from spinsearch.core import IDENTITY_2
+from spinsearch.core import IDENTITY_2, IX, IY
 from spinsearch.grover import OracleLabel, SearchProblem
 from spinsearch.sequence import (
     Gradient,
@@ -26,6 +26,12 @@ IZ = SIGMA_Z / 2
 IZ1 = np.kron(IZ, IDENTITY_2)
 IZ2 = np.kron(IDENTITY_2, IZ)
 IZZ = np.kron(IZ, IZ)
+
+# The detected observable I1+ + I2+, I+ = Ix + i Iy = |0><1| on one spin: the
+# reference for the coherences of ``readout._LINES``
+RAISING = IX + 1j * IY
+OBSERVE_1 = np.kron(RAISING, IDENTITY_2)
+OBSERVE_2 = np.kron(IDENTITY_2, RAISING)
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
@@ -138,8 +144,18 @@ def coherence_order(i: int, j: int, n_qubits: int) -> int:
 
 def hamiltonian(nu1: float, nu2: float, j: float) -> np.ndarray:
     """Weak-coupling Hamiltonian nu1*Iz1 + nu2*Iz2 + J*Iz1Iz2 in Hz, as a 4x4
-    matrix: the reference for ``spins.energies``."""
+    matrix: the reference for ``energies``."""
     return nu1 * IZ1 + nu2 * IZ2 + j * IZZ
+
+
+def energies(sys) -> np.ndarray:
+    """The four product-basis energies nu1 m1 + nu2 m2 + J m1 m2 in Hz, the
+    diagonal of the weak-coupling Hamiltonian nu1 Iz1 + nu2 Iz2 + J Iz1 Iz2
+    (m = +1/2 for |0>, -1/2 for |1>): the levels whose differences E_j - E_i
+    place the readout's lines."""
+    return np.array(
+        [sys.nu1 * m1 + sys.nu2 * m2 + sys.j * m1 * m2 for m1 in (0.5, -0.5) for m2 in (0.5, -0.5)]
+    )
 
 
 def factored_free_evolution(sys, t: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -208,6 +210,19 @@ class TestValidators:
     @given(unitarity_inputs())
     def test_is_unitary_matches_reference(self, inputs):
         u, tol = inputs
-        # a nan or inf makes both products warn, as numpy does for any matmul
+        # a nan or inf makes the reference's matmul warn; is_unitary must not
         with np.errstate(invalid="ignore", over="ignore"):
-            assert is_unitary(u, tol) is reference_is_unitary(u, tol)
+            expected = reference_is_unitary(u, tol)
+        assert is_unitary(u, tol) is expected
+
+    @pytest.mark.parametrize(
+        "value", [np.inf, -np.inf, np.nan, complex(0, np.inf), 1e200], ids=str
+    )
+    def test_non_finite_matrix_is_a_verdict_not_a_warning(self, value):
+        u = np.eye(4, dtype=complex)
+        u[0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert is_unitary(u) is False
+            with pytest.raises(ValueError, match="not unitary"):
+                apply_unitary(u, np.eye(4) / 4)

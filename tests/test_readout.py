@@ -18,8 +18,6 @@ from spinsearch.core import basis_state, fidelity
 from spinsearch.experiment import run_experiments
 from spinsearch.grover import ALL_LABELS
 from spinsearch.readout import (
-    OBSERVE_1,
-    OBSERVE_2,
     AcquisitionParams,
     AmbiguousReadoutError,
     Peak,
@@ -27,7 +25,7 @@ from spinsearch.readout import (
     Spectrum,
     classify,
     detect,
-    line_centers,
+    line_table,
     reference_phase,
     summary_document,
     synthesize_fid,
@@ -39,12 +37,18 @@ from spinsearch.spins import (
     IDEAL,
     ErrorModel,
     SpinSystem,
-    energies,
     gradient_crush,
     ideal_pulse,
     pseudo_pure_00,
 )
-from state_checks import density_from_state, hamiltonian, search_program, state_00
+from state_checks import (
+    OBSERVE_1,
+    OBSERVE_2,
+    density_from_state,
+    energies,
+    search_program,
+    state_00,
+)
 
 SYS = SpinSystem()
 ACQ = AcquisitionParams()
@@ -56,14 +60,15 @@ def rho_basis(index):
 
 def _reference_lines(sys, acq):
     """The four damped line waveforms exp(-i 2 pi (E_i - E_j) t) exp(-t/T2),
-    with their couplings O_ji, in the package's coupling order."""
+    with their couplings O_ji, for each nonzero O_ji of the observable, the
+    levels E taken from the reference Hamiltonian."""
     t = np.arange(acq.n_points) * acq.dwell
-    energies = np.diag(hamiltonian(sys.nu1, sys.nu2, sys.j)).real
+    levels = energies(sys)
     observe = OBSERVE_1 + OBSERVE_2
     decay = np.exp(-t / sys.t2)
     rows, cols = np.nonzero(observe.T)
     return [
-        (i, j, observe[j, i], np.exp(-2j * math.pi * (energies[i] - energies[j]) * t) * decay)
+        (i, j, observe[j, i], np.exp(-2j * math.pi * (levels[i] - levels[j]) * t) * decay)
         for i, j in zip(rows, cols)
     ]
 
@@ -121,22 +126,22 @@ def _reference_detect(sys, rho, acq):
     scale = 2 / acq.n_points
     peaks = tuple(
         Peak(center, complex(np.sum(values[np.abs(freq - center) <= 3 * width]) * scale), spin)
-        for center, spin in line_centers(sys)
+        for center, spin, _, _ in line_table(sys)
     )
     return Spectrum(freq, values, peaks)
 
 
 def _exact_coefficients(sys, rho, acq):
     """c_k = O_ji * rho_ij after the crush and the observe pulse for each line
-    in line_centers order, where line k is the coherence (i, j) nearest its
-    centre, at E_j - E_i."""
+    in line_table order, where line k is the coherence (i, j) of the
+    observable nearest its centre, at E_j - E_i."""
     rho = _observed(rho, acq)
-    energies = np.diag(hamiltonian(sys.nu1, sys.nu2, sys.j)).real
+    levels = energies(sys)
     observe = OBSERVE_1 + OBSERVE_2
     rows, cols = np.nonzero(observe.T)
-    lines = [(energies[j] - energies[i], observe[j, i] * rho[i, j]) for i, j in zip(rows, cols)]
+    lines = [(levels[j] - levels[i], observe[j, i] * rho[i, j]) for i, j in zip(rows, cols)]
     coefficients = []
-    for center, _ in line_centers(sys):
+    for center, *_ in line_table(sys):
         _, c = min(lines, key=lambda line: abs(line[0] - center))
         coefficients.append(complex(c))
     return coefficients
@@ -188,25 +193,26 @@ def _line_template(position, gamma, grid, scratch):
 
 
 def _reference_templates(sys, acq):
-    """The four full-size line templates on the basis's grid, in the basis's
-    coupling order, each built over the whole array by _line_template."""
-    lines = synthesize_fid(sys, acq)
-    levels = energies(sys)
+    """The four full-size line templates on the basis's grid, in line_table
+    order, each built over the whole array by _line_template at its line's
+    centre nu_s +/- J/2."""
+    grid = synthesize_fid(sys, acq).grid
     n = acq.n_points
     gamma = max(acq.dwell / sys.t2, np.finfo(float).tiny)
     scratch = np.empty(n)
     return [
-        _line_template((levels[j] - levels[i]) * acq.dwell * n, gamma, lines.grid, scratch)
-        for i, j, _ in lines.couplings
+        _line_template(center * acq.dwell * n, gamma, grid, scratch)
+        for center, *_ in line_table(sys)
     ]
 
 
 def _set_coefficients(sys, rhos, acq):
-    """The (states, 4) array of c = O_ji * rho_ij after the crush and the
-    observe pulse, in the basis's coupling order."""
-    couplings = synthesize_fid(sys, acq).couplings
+    """The (states, 4) array of c = rho_ij after the crush and the observe
+    pulse, in line_table order, each state crushed, observed and picked on
+    its own: the per-state loop that detect's stacked pass replaced."""
+    coherences = [(i, j) for _, _, i, j in line_table(sys)]
     observed = [_observed(rho, acq) for rho in rhos]
-    return np.array([[o_ji * rho[i, j] for i, j, o_ji in couplings] for rho in observed])
+    return np.array([[rho[i, j] for i, j in coherences] for rho in observed])
 
 
 def _reference_combinations(sys, rhos, acq):
@@ -309,6 +315,52 @@ def _reference_classify(spec, phase_corr, ref_coefficients=None):
     return ReadoutResult(values[1], values[2], tuple(float(h) for h in heights), peaks)
 
 
+def _reference_numpy_phase(ref):
+    """reference_phase on a numpy array of the four coefficients (what the
+    scalar form replaced)."""
+    coefficients = np.array([p.coefficient for p in ref.peaks])
+    significant = coefficients[np.abs(coefficients) > readout.MIN_LINE_COEFFICIENT]
+    if significant.size == 0:
+        raise AmbiguousReadoutError("reference spectrum has no detectable peaks")
+    phase = math.degrees(np.angle(np.sum(significant)))
+    rotated = significant * np.exp(-1j * math.radians(phase))
+    residue = float(np.max(np.degrees(np.abs(np.angle(rotated)))))
+    if residue > 15.0:
+        raise AmbiguousReadoutError(
+            f"reference lines do not share a common phase (largest residue {residue:.1f}° > 15°)"
+        )
+    return phase
+
+
+def _reference_numpy_classify(spec, phase_corr, reference):
+    """classify on numpy arrays of the four phased coefficients (what the
+    scalar form replaced)."""
+    rot = np.exp(-1j * math.radians(phase_corr))
+    coefficients = np.array([(p.coefficient * rot).real for p in spec.peaks])
+    scale = np.array([(p.coefficient * rot).real for p in reference.peaks])
+    for p, c in zip(reference.peaks, scale):
+        if abs(c) <= readout.MIN_LINE_COEFFICIENT:
+            raise AmbiguousReadoutError(f"no signal in the reference line at {p.center_hz:g} Hz")
+    heights = coefficients / scale
+    values = {}
+    for spin in (1, 2):
+        pair = [k for k, p in enumerate(spec.peaks) if p.assigned_spin == spin]
+        strong = [
+            coefficients[k] for k in pair if abs(coefficients[k]) > readout.MIN_LINE_COEFFICIENT
+        ]
+        if not strong:
+            raise AmbiguousReadoutError(f"no signal in the spin-{spin} doublet")
+        signs = {v > 0 for v in strong}
+        if len(signs) > 1:
+            quoted = ", ".join(f"{heights[k]:+.3g}" for k in pair)
+            raise AmbiguousReadoutError(f"spin-{spin} doublet lines disagree in sign ({quoted})")
+        values[spin] = 0 if signs.pop() else 1
+    peaks = tuple(
+        Peak(p.center_hz, float(v), p.assigned_spin) for p, v in zip(spec.peaks, coefficients)
+    )
+    return ReadoutResult(values[1], values[2], tuple(float(h) for h in heights), peaks)
+
+
 def _readout_bits(read, *args):
     """A readout's outcome with every float as its hex digits, so equal
     outcomes agree bit for bit: the bits, heights and phased peaks, or the
@@ -386,7 +438,7 @@ def template_configurations(draw):
     separation = draw(st.integers(20 * k + 1, 20 * k + n_points // 4))
     b2 = b1 - separation if b1 >= 0 else b1 + separation
     sys = SpinSystem(nu1=b1 * r, nu2=b2 * r, j=2 * k * r, t2=t2)
-    assert all((center / r).is_integer() for center, _ in line_centers(sys))
+    assert all((center / r).is_integer() for center, *_ in line_table(sys))
     return sys, acq
 
 
@@ -526,7 +578,7 @@ class TestDetect:
     def test_doublet_positions_within_one_grid_step(self):
         spec = detect(SYS, [state_00()], ACQ)[0]
         magnitude = np.abs(spec.values)
-        for center, _ in line_centers(SYS):
+        for center, *_ in line_table(SYS):
             window = np.abs(spec.freq_hz - center) <= 3.0
             local = np.where(window)[0]
             peak_idx = local[np.argmax(magnitude[local])]
@@ -757,6 +809,79 @@ class TestLineBasis:
         assert peak - baseline <= bound
 
 
+class TestLineTable:
+    @given(st.one_of(configurations(j_max=20.0, t2_max=10.0), accepted_configurations()))
+    @example((SYS, ACQ))
+    @example((SpinSystem(nu1=-80.0, nu2=80.0, j=7.0), ACQ))
+    @example(FAR_APART)
+    def test_rows_are_the_observed_coherences_of_the_hamiltonian(self, config):
+        # each row's centre is the level difference E_j - E_i of the
+        # reference Hamiltonian (not E_i - E_j), within the roundings of
+        # the levels and the centre: that pins the sign of nu_s +/- J/2
+        sys, _ = config
+        levels = energies(sys)
+        observe = OBSERVE_1 + OBSERVE_2
+        rows = line_table(sys)
+        coherences = [(int(i), int(j)) for i, j in zip(*np.nonzero(observe.T))]
+        assert sorted((i, j) for _, _, i, j in rows) == coherences
+        rounding = 4 * np.finfo(float).eps * (abs(sys.nu1) + abs(sys.nu2) + sys.j)
+        for center, spin, i, j in rows:
+            assert observe[j, i] == 1
+            # the owner is the bit i and j differ in (the first spin is the
+            # most significant), in |1> in i and in |0> in j
+            owner = 2 if spin == 1 else 1
+            assert i ^ j == owner and i & owner
+            # the side is the spectator's m, the same in i and j
+            m = -0.5 if i & (3 - owner) else 0.5
+            assert center == (sys.nu1 if spin == 1 else sys.nu2) + m * sys.j
+            assert abs(center - (levels[j] - levels[i])) <= rounding
+        centers = [center for center, *_ in rows]
+        assert centers == sorted(centers)
+
+    def test_basis_and_peaks_read_the_table(self):
+        table = line_table(SYS)
+        assert synthesize_fid(SYS, ACQ).lines == table
+        assert [(p.center_hz, p.assigned_spin) for p in detect(SYS, [state_00()], ACQ)[0].peaks] == [
+            (center, spin) for center, spin, _, _ in table
+        ]
+
+
+class TestStackedPass:
+    @given(
+        detection_inputs(),
+        st.lists(states(), max_size=6),
+        st.floats(-360.0, 360.0),
+    )
+    def test_stacked_pass_reads_as_the_per_state_loop(self, inputs, others, phase):
+        # the coefficients are the per-state loop's bit for bit, and the
+        # scalar verdicts are the numpy ones: equal heights (as hex digits)
+        # and equal messages for every spectrum read against the first at
+        # the same phase, and for every spectrum read as a reference; the
+        # reference phases agree to the last bits of two implementations of
+        # atan2 (numpy's SIMD one differs from libm's on some CPUs)
+        sys, acq, rho = inputs
+        rhos = [rho, *others]
+        spectra = detect(sys, rhos, acq)
+        coefficients = np.array([[p.coefficient for p in spec.peaks] for spec in spectra])
+        assert coefficients.tobytes() == _set_coefficients(sys, rhos, acq).tobytes()
+        reference = spectra[0]
+        for spec in spectra:
+            assert _readout_bits(classify, spec, phase, reference) == _readout_bits(
+                _reference_numpy_classify, spec, phase, reference
+            )
+            try:
+                expected = _reference_numpy_phase(spec)
+            except AmbiguousReadoutError as exc:
+                with pytest.raises(AmbiguousReadoutError) as raised:
+                    reference_phase(spec)
+                assert str(raised.value) == str(exc)
+                continue
+            # the same sum, so only atan2 and its conversion to degrees may
+            # differ, by an ulp or two of 180
+            difference = reference_phase(spec) - expected
+            assert abs(difference) <= 4 * np.finfo(float).eps * 180.0
+
+
 class TestFrequencyGrid:
     @pytest.mark.parametrize("n_points", [2**k for k in range(10, 18)])
     @pytest.mark.parametrize("spectral_width", [512.0, 600.0, 1024.0, 3000.7])
@@ -772,9 +897,12 @@ class TestLineTemplates:
               AcquisitionParams(spectral_width=1024.0, n_points=131072)))
     def test_templates_match_fft_reference(self, config):
         sys, acq = config
+        # the FFT of each line sampled at its table centre nu_s +/- J/2
+        t = np.arange(acq.n_points) * acq.dwell
+        decay = np.exp(-t / sys.t2)
         templates = _reference_templates(sys, acq)
-        for template, (_, _, _, line) in zip(templates, _reference_lines(sys, acq)):
-            reference = _reference_spectrum(line)
+        for template, (center, *_) in zip(templates, line_table(sys)):
+            reference = _reference_spectrum(np.exp(2j * math.pi * center * t) * decay)
             difference = float(np.max(np.abs(template - reference)))
             scale = float(np.max(np.abs(reference)))
             assert difference <= _reference_tolerance(acq.n_points) * scale
@@ -811,7 +939,7 @@ class TestLineIntegrals:
         ids=["default", "1024", "131072"],
     )
     def test_window_sums_agree_with_exact_integrals_on_grid(self, sys, acq):
-        assert all((center / acq.resolution).is_integer() for center, _ in line_centers(sys))
+        assert all((center / acq.resolution).is_integer() for center, *_ in line_table(sys))
         rot = np.exp(-1j * math.radians(reference_phase(detect(sys, [state_00()], acq)[0])))
         for index in range(4):
             windowed = _reference_detect(sys, rho_basis(index), acq).peaks

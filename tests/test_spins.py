@@ -20,7 +20,6 @@ from spinsearch.spins import (
     IDEAL,
     SpinSystem,
     ErrorModel,
-    energies,
     free_evolution,
     gradient_crush,
     ideal_pulse,
@@ -32,6 +31,7 @@ from state_checks import (
     IZ2,
     check_density_matrix,
     density_from_state,
+    energies,
     equal_up_to_global_phase,
     factored_free_evolution,
     hamiltonian,
@@ -305,6 +305,25 @@ class TestClosedFormPropagators:
             else:
                 assert is_unitary(u, UNITARY_TOL)
 
+    # offsets in quarter hertz, shifted together by K / t_p Hz at
+    # t_p = 2**-10 s: every shifted offset is exact, the pulse's offset
+    # difference unchanged, and its frame phase moves by K whole turns
+    @given(st.integers(-2000, 2000), st.integers(281, 2400), st.sampled_from([-1, 1]),
+           st.sampled_from([1, 2]), flips, phases, st.integers(1, 2**40))
+    @example(320, 640, -1, 1, 90.0, 0.0, 2**30)
+    @example(320, 640, -1, 2, 180.0, 90.0, 2**40)
+    def test_soft_pulse_phases_are_taken_in_turns(
+        self, quarters, gap, side, target, flip, phase, turns
+    ):
+        t_p = 2.0**-10
+        nu1, nu2 = quarters / 4, (quarters + side * gap) / 4
+        shift = turns / t_p
+        sys = SpinSystem(nu1=nu1, nu2=nu2, j=7.0)
+        shifted = SpinSystem(nu1=nu1 + shift, nu2=nu2 + shift, j=7.0)
+        assert (shifted.nu1 - shift, shifted.nu2 - shift) == (nu1, nu2)
+        u = soft_pulse(sys, target, flip, phase, t_p)
+        assert np.max(np.abs(soft_pulse(shifted, target, flip, phase, t_p) - u)) <= 1e-12
+
 
 class TestGradientCrush:
     def test_diagonal_unchanged(self):
@@ -334,6 +353,21 @@ class TestGradientCrush:
         assert np.array_equal(gradient_crush(crushed), crushed)
         assert np.max(np.abs(crushed - crushed.conj().T)) <= 1e-12
         assert np.trace(crushed).real == pytest.approx(1.0, abs=1e-12)
+
+    @given(
+        st.integers(1, 3),
+        st.lists(st.integers(1, 3), max_size=2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_crushes_each_matrix_alone(self, n, batch, seed):
+        # a (..., 2^n, 2^n) stack is crushed matrix by matrix, bit for bit
+        rng = np.random.default_rng(seed)
+        shape = (*batch, 2**n, 2**n)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        crushed = gradient_crush(stack)
+        assert crushed.shape == shape
+        for index in np.ndindex(*batch):
+            assert crushed[index].tobytes() == gradient_crush(stack[index]).tobytes()
 
 
 class TestPseudoPure:
