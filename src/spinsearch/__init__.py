@@ -1,18 +1,15 @@
 """Two-layer simulator of a two-spin NMR quantum computer running the
-quantum search algorithm: an exact gate-level layer plus a pulse-level
-density-matrix layer with compiled RF sequences and spectral readout."""
+quantum search algorithm: the exact N/k search, whose N = 4 case is the
+paper's gate-level run, plus a pulse-level density-matrix layer with compiled
+RF sequences and spectral readout."""
 
 from .core import apply_unitary, fidelity, is_unitary
 from .grover import (
     OracleLabel,
     SearchProblem,
     classical_expected_evaluations,
-    grover2_circuit,
     grover_general,
     optimal_iterations,
-    oracle_matrix,
-    pseudo_hadamard,
-    pseudo_hadamard_inverse,
 )
 from .readout import AcquisitionParams, Spectrum, classify, detect, reference_phase
 from .sequence import (
@@ -50,14 +47,10 @@ __all__ = [
     "format_sequence",
     "free_evolution",
     "gradient_crush",
-    "grover2_circuit",
     "grover_general",
     "is_unitary",
     "optimal_iterations",
-    "oracle_matrix",
     "parse_sequence",
-    "pseudo_hadamard",
-    "pseudo_hadamard_inverse",
     "pseudo_pure_00",
     "pulse_operator",
     "reference_phase",

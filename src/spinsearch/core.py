@@ -15,13 +15,6 @@ import numpy as np
 # Tolerance of the unitarity checks throughout the package.
 UNITARY_TOL = 1e-10
 
-# The transverse Pauli matrices and spin operators (hbar = 1).
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-IX = SIGMA_X / 2
-IY = SIGMA_Y / 2
-
 
 def as_integer(name: str, value: object) -> int:
     """``value`` as an int through ``operator.index``: integer types such as

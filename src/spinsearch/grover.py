@@ -1,5 +1,11 @@
-"""Gate-level two-qubit search circuit and the generalized N/k amplitude
-amplification, plus the classical sampling comparator.
+"""The generalized N/k amplitude amplification, plus the classical sampling
+comparator.
+
+The paper's two-qubit search is its N = 4, k = 1 case: one iterate takes the
+start state to the marked |ab>, and ``spinsearch gate`` runs exactly that.
+The literal circuit of dense 4x4 gates,
+(h^-1 x h^-1) . U_fab . (h x h) . U_00 . (h^-1 x h^-1) on |00>, is the tests'
+reference for it (``tests/state_checks.py``).
 
 The search diffusion h^-1(x n) . U_00 . h(x n) equals I - 2|s><s| because
 h^-1 = h^T, with the start state s_x = (-1)^popcount(x)/sqrt(N).  The sign
@@ -25,9 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import apply_unitary, as_integer, basis_state
-
-_SQRT2 = math.sqrt(2.0)
+from .core import as_integer
 
 ORACLE_LABELS = ("f00", "f01", "f10", "f11")
 
@@ -131,43 +135,6 @@ class SearchProblem:
     @property
     def k(self) -> int:
         return self.marked.size
-
-
-def pseudo_hadamard() -> np.ndarray:
-    """h = Ry(90 deg): maps each eigenstate to a signed uniform superposition."""
-    return np.array([[1, -1], [1, 1]], dtype=complex) / _SQRT2
-
-
-def pseudo_hadamard_inverse() -> np.ndarray:
-    """h^-1 = Ry(-90 deg): exactly the transpose of h (a real rotation)."""
-    return np.array([[1, 1], [-1, 1]], dtype=complex) / _SQRT2
-
-
-def oracle_matrix(label: OracleLabel) -> np.ndarray:
-    """Diagonal oracle flipping the sign of |ab>; the diffusion gate U_00 is
-    oracle_matrix(OracleLabel(0, 0))."""
-    diag = np.ones(4, dtype=complex)
-    diag[label.index] = -1.0
-    return np.diag(diag)
-
-
-# The label-independent gates of the two-qubit circuit.
-_H2 = np.kron(pseudo_hadamard(), pseudo_hadamard())
-_HINV2 = np.kron(pseudo_hadamard_inverse(), pseudo_hadamard_inverse())
-_U_00 = oracle_matrix(OracleLabel(0, 0))
-
-
-def grover2_circuit(label: OracleLabel) -> np.ndarray:
-    """Run the two-qubit search circuit from |00> for the given function.
-
-    Circuit order (leftmost applied first):
-    (h^-1 x h^-1) . U_fab . (h x h) . U_00 . (h^-1 x h^-1).
-    The output equals |ab> up to a convention-fixed global phase.
-    """
-    psi = basis_state(2, 0)
-    for gate in (_HINV2, oracle_matrix(label), _H2, _U_00, _HINV2):
-        psi = apply_unitary(gate, psi)
-    return psi
 
 
 def read_bits(psi: np.ndarray) -> tuple[int, int]:

@@ -130,7 +130,8 @@ class Peak:
 @dataclass(frozen=True)
 class Spectrum:
     """Complex amplitude on a uniform frequency grid plus the expected-line
-    list (coefficients still unphased as returned by detect)."""
+    list (coefficients still unphased as returned by detect).  ``detect``
+    builds the grid ascending and the peaks in ``line_table`` order."""
 
     freq_hz: np.ndarray
     values: np.ndarray
@@ -394,30 +395,27 @@ def classify(spec: Spectrum, phase_corr: float, reference: Spectrum) -> ReadoutR
 
 def write_spectrum_csv(path: str, spec: Spectrum) -> None:
     """CSV export (freq_hz,real,imag as shortest round-trip float reprs, CRLF
-    line ends), ascending frequency, atomic write."""
-    order = np.argsort(spec.freq_hz)
-    values = spec.values[order]
+    line ends) in the spectrum's own order, ascending frequency for every
+    spectrum ``detect`` returns, atomic write."""
     rows = (
         f"{f!r},{re!r},{im!r}\r\n"
         for f, re, im in zip(
-            spec.freq_hz[order].tolist(), values.real.tolist(), values.imag.tolist()
+            spec.freq_hz.tolist(), spec.values.real.tolist(), spec.values.imag.tolist()
         )
     )
     _write_atomic(path, "".join(["freq_hz,real,imag\r\n", *rows]))
 
 
 def summary_document(experiment: str, result: ReadoutResult, fidelity: float | None = None) -> dict:
-    """Per-experiment JSON document with classification and relative heights."""
-    order = np.argsort([p.center_hz for p in result.peaks])
+    """Per-experiment JSON document with classification and relative heights,
+    the peaks in the result's order: ascending centre, as ``line_table``
+    orders the lines."""
     doc = {
         "experiment": experiment,
         "qubits": [result.qubit1, result.qubit2],
         "peaks": [
-            {
-                "center_hz": float(result.peaks[i].center_hz),
-                "height_rel": float(result.line_heights[i]),
-            }
-            for i in order
+            {"center_hz": float(peak.center_hz), "height_rel": float(height)}
+            for peak, height in zip(result.peaks, result.line_heights)
         ],
     }
     if fidelity is not None:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from spinsearch.core import IDENTITY_2, IX, IY
+from spinsearch.core import apply_unitary, basis_state
 from spinsearch.grover import OracleLabel, SearchProblem
 from spinsearch.sequence import (
     Gradient,
@@ -20,7 +20,13 @@ from spinsearch.spins import IDEAL
 
 NORM_TOL = 1e-12
 
+# The Pauli matrices and spin operators (hbar = 1).
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+IX = SIGMA_X / 2
+IY = SIGMA_Y / 2
 IZ = SIGMA_Z / 2
 
 IZ1 = np.kron(IZ, IDENTITY_2)
@@ -32,6 +38,48 @@ IZZ = np.kron(IZ, IZ)
 RAISING = IX + 1j * IY
 OBSERVE_1 = np.kron(RAISING, IDENTITY_2)
 OBSERVE_2 = np.kron(IDENTITY_2, RAISING)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def pseudo_hadamard() -> np.ndarray:
+    """h = Ry(90 deg): maps each eigenstate to a signed uniform superposition."""
+    return np.array([[1, -1], [1, 1]], dtype=complex) / _SQRT2
+
+
+def pseudo_hadamard_inverse() -> np.ndarray:
+    """h^-1 = Ry(-90 deg): exactly the transpose of h (a real rotation)."""
+    return np.array([[1, 1], [-1, 1]], dtype=complex) / _SQRT2
+
+
+def oracle_matrix(label: OracleLabel) -> np.ndarray:
+    """Diagonal oracle flipping the sign of |ab>; the diffusion gate U_00 is
+    oracle_matrix(OracleLabel(0, 0))."""
+    diag = np.ones(4, dtype=complex)
+    diag[label.index] = -1.0
+    return np.diag(diag)
+
+
+# The label-independent gates of the two-qubit circuit.
+_H2 = np.kron(pseudo_hadamard(), pseudo_hadamard())
+_HINV2 = np.kron(pseudo_hadamard_inverse(), pseudo_hadamard_inverse())
+_U_00 = oracle_matrix(OracleLabel(0, 0))
+
+
+def grover2_circuit(label: OracleLabel) -> np.ndarray:
+    """Run the two-qubit search circuit from |00> for the given function.
+
+    Circuit order (leftmost applied first):
+    (h^-1 x h^-1) . U_fab . (h x h) . U_00 . (h^-1 x h^-1).
+    The output equals |ab> up to a convention-fixed global phase.  The
+    literal gate product: the reference for ``spinsearch gate``, which runs
+    one ``grover_general`` iterate at N = 4, k = 1.
+    """
+    psi = basis_state(2, 0)
+    for gate in (_HINV2, oracle_matrix(label), _H2, _U_00, _HINV2):
+        psi = apply_unitary(gate, psi)
+    return psi
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:

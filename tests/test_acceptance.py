@@ -18,11 +18,10 @@ from spinsearch.grover import (
     ALL_LABELS,
     SearchProblem,
     classical_expected_evaluations,
-    grover2_circuit,
     grover_general,
     monte_carlo_evaluations,
     optimal_iterations,
-    oracle_matrix,
+    read_bits,
     success_probability,
 )
 from spinsearch.readout import AcquisitionParams, classify, detect, reference_phase
@@ -37,6 +36,7 @@ from spinsearch.spins import (
 )
 from state_checks import (
     equal_up_to_global_phase,
+    oracle_matrix,
     predicted_success_probability,
     search_program,
     sequence_unitary,
@@ -60,14 +60,22 @@ def report(name):
     return decorator
 
 
+def _gate_state(label):
+    """The state ``spinsearch gate`` reads: the N = 4 search marking the
+    label's index, run for its optimal iteration count."""
+    problem = SearchProblem(2, (label.index,))
+    return grover_general(problem, optimal_iterations(problem))
+
+
 @report("gate-level correctness (four labels, probability 1, < 1 ms)")
 def test_gate_level_correctness():
-    grover2_circuit(ALL_LABELS[0])  # warm the caches before timing
+    _gate_state(ALL_LABELS[0])  # warm the caches before timing
     start = time.perf_counter()
     for label in ALL_LABELS:
-        psi = grover2_circuit(label)
+        psi = _gate_state(label)
         assert equal_up_to_global_phase(psi, basis_state(2, label.index), 1e-12)
         assert abs(np.abs(psi[label.index]) ** 2 - 1.0) <= 1e-12
+        assert read_bits(psi) == (label.a, label.b)
     elapsed = time.perf_counter() - start
     assert elapsed < 1e-3, f"gate-level run took {elapsed * 1e3:.3f} ms"
 

@@ -33,6 +33,13 @@ class TestGateCommand:
         for name, bits in (("f00", "00"), ("f01", "01"), ("f10", "10"), ("f11", "11")):
             assert any(line.startswith(f"{name}: result: |{bits}>") for line in lines)
 
+    def test_all_labels_output_is_byte_identical(self, capsys):
+        # every amplitude of the N = 4 search is exact, and a zero prints as
+        # +0.000 whatever its sign bit
+        code, out, _ = run_cli(capsys, "gate", "--all")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "gate_all.txt").read_text()
+
     def test_single_label(self, capsys):
         code, out, _ = run_cli(capsys, "gate", "f01")
         assert code == EXIT_OK

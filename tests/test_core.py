@@ -6,22 +6,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinsearch.core import (
-    IDENTITY_2,
-    SIGMA_X,
     apply_single_qubit,
     apply_unitary,
     basis_state,
     fidelity,
     is_unitary,
 )
-from spinsearch.grover import pseudo_hadamard
 from state_checks import (
+    IDENTITY_2,
+    SIGMA_X,
     SIGMA_Z,
     check_density_matrix,
     check_state_vector,
     coherence_order,
     density_from_state,
     equal_up_to_global_phase,
+    pseudo_hadamard,
     reference_is_unitary,
 )
 

@@ -13,14 +13,10 @@ from spinsearch.grover import (
     SearchProblem,
     classical_approx_evaluations,
     classical_expected_evaluations,
-    grover2_circuit,
     grover_general,
     grover_iterate,
     monte_carlo_evaluations,
     optimal_iterations,
-    oracle_matrix,
-    pseudo_hadamard,
-    pseudo_hadamard_inverse,
     read_bits,
     success_probability,
 )
@@ -28,9 +24,13 @@ from state_checks import (
     equal_up_to_global_phase,
     full_vector_general,
     global_phase_factor,
+    grover2_circuit,
     monte_carlo_by_draw,
+    oracle_matrix,
     popcount_signs,
     predicted_success_probability,
+    pseudo_hadamard,
+    pseudo_hadamard_inverse,
     reference_marked,
     ry,
 )
@@ -115,8 +115,10 @@ class TestTwoQubitCircuit:
 
     @pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
     def test_matches_general_iterate(self, label):
-        problem = SearchProblem(2, frozenset({label.index}))
-        general = grover_general(problem, 1)
+        # the literal h-gate circuit against the package's gate path
+        problem = SearchProblem(2, (label.index,))
+        assert optimal_iterations(problem) == 1
+        general = grover_general(problem, optimal_iterations(problem))
         assert equal_up_to_global_phase(grover2_circuit(label), general, 1e-12)
 
 

@@ -838,6 +838,21 @@ class TestLineTable:
         centers = [center for center, *_ in rows]
         assert centers == sorted(centers)
 
+    @given(st.one_of(configurations(j_max=20.0, t2_max=10.0), accepted_configurations()))
+    @example((SYS, ACQ))
+    @example(FAR_APART)
+    @example((SpinSystem(nu1=7e16, nu2=-7e16, j=7.0), AcquisitionParams(3e17, 1024)))
+    def test_grid_ascends_and_peaks_follow_the_table(self, config):
+        # the exports write the grid and the peaks in this order unsorted,
+        # also where the centres nu +/- J/2 tie (FAR_APART); line_table
+        # ascends (test_rows_are_the_observed_coherences_of_the_hamiltonian)
+        sys, acq = config
+        spec = detect(sys, [state_00()], acq)[0]
+        assert np.all(np.diff(spec.freq_hz) > 0)
+        assert [(p.center_hz, p.assigned_spin) for p in spec.peaks] == [
+            (center, spin) for center, spin, _, _ in line_table(sys)
+        ]
+
     def test_basis_and_peaks_read_the_table(self):
         table = line_table(SYS)
         assert synthesize_fid(SYS, ACQ).lines == table
@@ -1216,7 +1231,9 @@ class TestExports:
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         tiny = 5e-324  # smallest subnormal
-        freq = np.array([3.5, -0.0, 1e-310, -1.7976931348623157e308, 2.5e300, 0.1])
+        # ascending, as detect builds every grid: the export keeps the
+        # spectrum's order, and the reference sorts
+        freq = np.array([-1.7976931348623157e308, -0.0, 1e-310, 0.1, 3.5, 2.5e300])
         values = np.array([
             complex(0.0, -0.0),
             complex(-0.0, 0.0),

@@ -12,7 +12,7 @@ import spinsearch.experiment as experiment
 import spinsearch.sequence as sequence
 from spinsearch.core import apply_unitary, basis_state, fidelity, is_unitary
 from spinsearch.experiment import run_experiments
-from spinsearch.grover import ALL_LABELS, OracleLabel, grover2_circuit, oracle_matrix
+from spinsearch.grover import ALL_LABELS, OracleLabel
 from spinsearch.readout import AcquisitionParams, AmbiguousReadoutError
 from spinsearch.sequence import (
     ORACLE_PHASE_TABLE,
@@ -38,7 +38,11 @@ from spinsearch.spins import (
     pseudo_pure_00,
 )
 from state_checks import (
+    IDENTITY_2,
     equal_up_to_global_phase,
+    grover2_circuit,
+    oracle_matrix,
+    pseudo_hadamard,
     reference_grover_program,
     search_program,
     sequence_unitary,
@@ -663,8 +667,6 @@ class TestPropagatorTable:
 
 class TestPulseOperator:
     def test_ideal_90y_spin1(self):
-        from spinsearch.core import IDENTITY_2
-        from spinsearch.grover import pseudo_hadamard
         from spinsearch.sequence import pulse_operator
 
         u = pulse_operator(SpinSystem(), Pulse(1, 90.0, 90.0))

@@ -7,15 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinsearch.core import (
-    IDENTITY_2,
-    IX,
-    IY,
-    SIGMA_X,
-    UNITARY_TOL,
-    is_unitary,
-)
-from spinsearch.grover import pseudo_hadamard
+from spinsearch.core import UNITARY_TOL, is_unitary
 from spinsearch.spins import (
     IDEAL,
     SpinSystem,
@@ -27,14 +19,19 @@ from spinsearch.spins import (
     soft_pulse,
 )
 from state_checks import (
+    IDENTITY_2,
+    IX,
+    IY,
     IZ1,
     IZ2,
+    SIGMA_X,
     check_density_matrix,
     density_from_state,
     energies,
     equal_up_to_global_phase,
     factored_free_evolution,
     hamiltonian,
+    pseudo_hadamard,
     state_00,
     temporal_average_00,
 )
