@@ -35,6 +35,9 @@ from .core import as_integer
 
 ORACLE_LABELS = ("f00", "f01", "f10", "f11")
 
+# uniforms drawn per Monte-Carlo chunk: 512 KiB of keys and 512 KiB of counts
+MC_CHUNK = 65536
+
 
 @dataclass(frozen=True)
 class OracleLabel:
@@ -178,7 +181,9 @@ def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
 
 def success_probability(problem: SearchProblem, psi: np.ndarray) -> float:
     """Total probability of measuring a marked index."""
-    return float(np.sum(np.abs(psi[problem.marked]) ** 2))
+    v = np.abs(psi[problem.marked])
+    np.square(v, out=v)
+    return float(v.sum())
 
 
 def optimal_iterations(problem: SearchProblem) -> int:
@@ -208,6 +213,20 @@ def classical_approx_evaluations(n: int, k: int) -> float:
     return n / (2 * k)
 
 
+def _extended(table: np.ndarray, n: int, k: int, size: int) -> np.ndarray:
+    """The table of -S(x) extended to ``size`` entries: the multiply.accumulate
+    of the factors (N - k - i) / (N - i), seeded with the last S(x)."""
+    grown = np.empty(size)
+    grown[: table.size] = table
+    i = np.arange(table.size - 1, size - 1)
+    tail = grown[table.size - 1 :]
+    tail[0] = -table[-1]
+    tail[1:] = (n - k - i) / (n - i)
+    np.multiply.accumulate(tail, out=tail)
+    np.negative(tail, out=tail)
+    return grown
+
+
 def monte_carlo_evaluations(
     n: int, k: int, trials: int, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -217,24 +236,41 @@ def monte_carlo_evaluations(
     one comes up.  Its first x draws all miss with probability
     S(x) = prod_{i<x} (N - k - i) / (N - i), the survival function, so one
     uniform u per trial fixes its count as the number of x >= 0 with
-    S(x) > u.  S is tabulated by cumprod from 64 entries, growing x4 until it
-    falls to or below the smallest u or reaches its full N - k + 1 entries,
-    and inverted by one searchsorted.  This simulates the process directly
-    rather than using the closed form, so it is an independent check of it.
+    S(x) > u.  This simulates the process directly rather than using the
+    closed form, so it is an independent check of it.
+
+    The uniforms come from ``rng.random`` in chunks of ``MC_CHUNK``, which
+    consume the generator exactly as one call of ``trials`` would.  Each
+    chunk is sorted in place and inverted by one searchsorted against -S,
+    one table kept across chunks.  It grows x4 from 64 entries only while
+    its last entry lies above the chunk's smallest uniform, up to all
+    N - k + 1; each extension is a multiply.accumulate seeded with the last
+    entry, the same left-to-right products as one cumprod, so a longer
+    table never changes an entry.  The counts and their squares are summed
+    as int64 a chunk and then as Python ints, so the mean s1/n is the
+    correctly rounded exact mean and the std error
+    sqrt((n s2 - s1^2) / (n^2 (n - 1))) is one rounded quotient and one
+    sqrt.  A chunk's sum of squares, at most 2**16 * (N - k + 1)**2, stays
+    below 2**63 for N - k + 1 <= 2**23 (a 64 MiB table); the package's
+    searches stop at N = 2**20.  Memory is bounded by the chunk and the
+    table, not by ``trials``.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= N")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    u = rng.random(trials)
-    lowest = u.min()
-    full, size = n - k + 1, 64  # S(N - k + 1) = 0: the last draw always hits
-    while True:
-        i = np.arange(min(size, full) - 1)
-        survival = np.cumprod(np.concatenate(([1.0], (n - k - i) / (n - i))))
-        if survival.size == full or survival[-1] <= lowest:
-            break
-        size *= 4
-    counts = np.searchsorted(-survival, -u)
-    stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(np.mean(counts)), stderr
+    full = n - k + 1  # S(N - k + 1) = 0: the last draw always hits
+    table = np.array([-1.0])  # -S(x) for x = 0, 1, ...: ascending
+    s1 = s2 = 0
+    for start in range(0, trials, MC_CHUNK):
+        keys = rng.random(min(MC_CHUNK, trials - start))
+        np.negative(keys, out=keys)
+        keys.sort()
+        while table.size < full and table[-1] < keys[-1]:
+            table = _extended(table, n, k, min(max(64, 4 * table.size), full))
+        counts = np.searchsorted(table, keys)
+        s1 += int(counts.sum())
+        s2 += int(np.dot(counts, counts))
+    if trials == 1:
+        return float(s1), 0.0
+    return s1 / trials, math.sqrt((trials * s2 - s1 * s1) / (trials * trials * (trials - 1)))

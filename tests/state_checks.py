@@ -298,6 +298,40 @@ def monte_carlo_by_draw(n: int, k: int, trials: int, rng: np.random.Generator) -
     return float(np.mean(counts)), stderr
 
 
+def monte_carlo_one_shot(n: int, k: int, trials: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Simulate sampling without replacement; returns (mean, std error).
+
+    Each trial draws items uniformly from the remaining pool until a marked
+    one comes up.  Its first x draws all miss with probability
+    S(x) = prod_{i<x} (N - k - i) / (N - i), the survival function, so one
+    uniform u per trial fixes its count as the number of x >= 0 with
+    S(x) > u.  S is tabulated by cumprod from 64 entries, growing x4 until it
+    falls to or below the smallest u or reaches its full N - k + 1 entries,
+    and inverted by one searchsorted.  This simulates the process directly
+    rather than using the closed form, so it is an independent check of it.
+
+    The reference for ``grover.monte_carlo_evaluations``: all ``trials``
+    uniforms in one draw, a table rebuilt on each x4 step, and numpy's
+    mean and standard deviation of the counts.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= N")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    u = rng.random(trials)
+    lowest = u.min()
+    full, size = n - k + 1, 64  # S(N - k + 1) = 0: the last draw always hits
+    while True:
+        i = np.arange(min(size, full) - 1)
+        survival = np.cumprod(np.concatenate(([1.0], (n - k - i) / (n - i))))
+        if survival.size == full or survival[-1] <= lowest:
+            break
+        size *= 4
+    counts = np.searchsorted(-survival, -u)
+    stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(counts)), stderr
+
+
 def search_program(label: OracleLabel, sys) -> PulseSequence:
     """The package's search program for ``label`` on ``sys``, assembled by
     ``grover_program`` from freshly compiled oracles."""

@@ -103,6 +103,14 @@ class TestSearchCommand:
                 out += row
             assert out == (GOLDEN / name).read_text(), name
 
+    def test_multi_chunk_output_is_byte_identical(self, capsys):
+        # 200000 trials draw the Monte-Carlo uniforms in four chunks; the row
+        # equals the one made when all of them came from a single draw
+        code, out, _ = run_cli(capsys, "search", "--n", "12", "--k", "1",
+                               "--seed", "1", "--trials", "200000")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "search_n12_k1_seed1_trials200000.txt").read_text()
+
     def test_zero_trials_rejected(self, capsys):
         code, out, err = run_cli(capsys, "search", "--n", "4", "--k", "1",
                                  "--seed", "1", "--trials", "0")

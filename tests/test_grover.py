@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from spinsearch.core import apply_single_qubit, basis_state, is_unitary
 from spinsearch.grover import (
     ALL_LABELS,
+    MC_CHUNK,
     OracleLabel,
     SearchProblem,
     classical_approx_evaluations,
@@ -26,6 +28,7 @@ from state_checks import (
     global_phase_factor,
     grover2_circuit,
     monte_carlo_by_draw,
+    monte_carlo_one_shot,
     oracle_matrix,
     popcount_signs,
     predicted_success_probability,
@@ -39,14 +42,43 @@ SQRT2 = math.sqrt(2.0)
 
 
 class _FixedUniforms:
-    """Stands in for a Generator: random(size) returns chosen uniforms."""
+    """Stands in for a Generator: successive random(size) calls return
+    successive slices of the chosen uniforms, which must all be drawn."""
 
     def __init__(self, uniforms):
         self.uniforms = np.array(uniforms, dtype=float)
+        self.drawn = 0
 
     def random(self, size):
-        assert size == self.uniforms.size
-        return self.uniforms.copy()
+        assert self.drawn + size <= self.uniforms.size
+        self.drawn += size
+        return self.uniforms[self.drawn - size : self.drawn].copy()
+
+
+def _stderr_rounding_bound(trials, mean, stderr):
+    """Bound on |stderr - reference stderr| / stderr for the same counts, to
+    first order in u = 2**-53; higher orders are a factor of about 1e-14
+    smaller, which the 1 + 1e-9 covers.
+
+    The chunked stderr is sqrt(fl(q)) for the exact quotient q of integers:
+    one rounded division and one rounded sqrt, at most 1.5 u.  The reference
+    is np.std(counts, ddof=1) / math.sqrt(n):
+    - its mean m' = fl(s1 / n) is off by at most m u; as sum(c - m) = 0,
+      sum((c - m')**2) = sum((c - m)**2) (1 + rho), with
+      rho = (m - m')**2 / var <= (m u)**2 / var and var = (n - 1) stderr**2
+      the population variance;
+    - each term fl(fl(c - m')**2) carries at most 3 u;
+    - numpy's pairwise sum adds at most D = 26 + ceil(log2(n / 128)) rounded
+      additions to a term: 15 into one of 8 accumulators, 3 combining them
+      and 7 for a block's last n % 8 terms, in blocks of at most 128, then
+      one a halving (one more for the halves' uneven split);
+    - dividing by n - 1, the sqrt (which halves all of the above), the
+      sqrt of n and the last division add u each.
+    Total: ((4 + D) u + rho) / 2 + 3 u + 1.5 u = ((D + 13) u + rho) / 2."""
+    u = 2.0**-53
+    depth = 26 + max(0, math.ceil(math.log2(trials / 128)))
+    rho = (mean * u) ** 2 / ((trials - 1) * stderr**2)
+    return ((depth + 13) * u + rho) / 2 * (1 + 1e-9)
 
 
 class TestPseudoHadamard:
@@ -555,6 +587,17 @@ class TestClassicalComparator:
             assert survival[count] <= Fraction(u) < survival[count - 1]
             mean, _ = monte_carlo_evaluations(n, k, 1, _FixedUniforms([u]))
             assert mean == count, (n, k, u)
+        # the same cases in one run that crosses a chunk edge: the first
+        # chunk repeats the largest uniform and holds the larger half of the
+        # cases, so the second chunk needs a longer table; the counts sum
+        # exactly
+        cases.sort(reverse=True)
+        filler = MC_CHUNK - len(cases) // 2
+        uniforms = np.concatenate((np.full(filler, cases[0][0]), [u for u, _ in cases]))
+        stream = _FixedUniforms(uniforms)
+        mean, _ = monte_carlo_evaluations(n, k, len(uniforms), stream)
+        assert stream.drawn == len(uniforms)
+        assert mean == (filler * cases[0][1] + sum(c for _, c in cases)) / len(uniforms), (n, k)
 
     def test_counts_invert_exact_survival(self):
         for n in range(1, 33):
@@ -576,6 +619,51 @@ class TestClassicalComparator:
         assert 1 <= count <= n - k + 1
         assert count == int(count)
         assert monte_carlo_evaluations(n, n, 50, np.random.default_rng(n)) == (1.0, 0.0)
+
+    @given(
+        st.integers(1, 2**20),
+        st.data(),
+        st.sampled_from([1, 2, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 1]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_chunks_match_one_shot_reference(self, n, data, trials, seed):
+        # the same uniforms, so the same counts: equal means, and std errors
+        # within the rounding of the reference's np.std
+        k = data.draw(st.integers(1, n))
+        mean, stderr = monte_carlo_evaluations(n, k, trials, np.random.default_rng(seed))
+        ref_mean, ref_stderr = monte_carlo_one_shot(n, k, trials, np.random.default_rng(seed))
+        assert mean == ref_mean
+        if stderr == 0.0:
+            assert ref_stderr == 0.0
+        else:
+            bound = _stderr_rounding_bound(trials, mean, stderr)
+            assert abs(stderr - ref_stderr) <= bound * stderr, (n, k, trials, seed)
+
+    def test_memory_bounded_by_chunk_and_table(self):
+        """4e6 trials at N = 2**14, k = 1 stay within what one chunk of C
+        uniforms and the table of L <= N - k + 1 entries need, whatever the
+        trial count.  At most these are alive at once, all 8 bytes an entry:
+        - three chunk arrays, 24 C bytes: the previous chunk's keys and
+          counts while the next keys are drawn, or the keys and both chunks'
+          counts during a searchsorted;
+        - while the table grows from L to L': both tables and the
+          extension's index, numerator, denominator and quotient
+          (L' - L each), under 40 L' bytes, with one chunk's keys and the
+          previous counts (16 C bytes).
+        So the peak is under 24 C + 40 (N - k + 1) bytes, 2.125 MiB here,
+        plus 64 KiB for Python objects.  The one-shot reference held
+        24 bytes a trial, about 92 MiB at this size."""
+        n, k, trials = 2**14, 1, 4_000_000
+        bound = 24 * MC_CHUNK + 40 * (n - k + 1) + 64 * 1024
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            mean, stderr = monte_carlo_evaluations(n, k, trials, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+        assert abs(mean - classical_expected_evaluations(n, k)) <= 5 * stderr
 
     def test_rejects_zero_marked(self):
         with pytest.raises(ValueError):
