@@ -86,7 +86,11 @@ class SearchProblem:
     np.float64 and np.bool_ are not.  An iterable is read in one typed pass
     (``array("q")``), and the indices are scattered into a boolean mask of
     N entries, whose nonzero positions are the sorted set: O(N), no sort.
-    The mask is not kept."""
+    An iterable's int64 copy is dropped before nonzero allocates, so from a
+    tuple or an int64 array construction holds at most the N-byte mask and
+    one 8k-byte index array (5 MiB at n = 20, k = 2**19).  The mask is not
+    kept.  A search over the problem holds one 8N-byte state plus an N-byte
+    frame, 9 MiB at n = 20 (``grover_general``)."""
 
     n_qubits: int
     marked: np.ndarray
@@ -117,7 +121,9 @@ class SearchProblem:
             raise ValueError(out_of_range)
         mask = np.zeros(size, dtype=bool)
         mask[marked] = True
-        if np.count_nonzero(mask) != marked.size:
+        k = marked.size
+        del marked  # the int64 copy of an iterable goes before nonzero allocates
+        if np.count_nonzero(mask) != k:
             raise ValueError(out_of_range)
         marked = mask.nonzero()[0]
         marked.flags.writeable = False
@@ -159,7 +165,11 @@ def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
     """The float64 state psi = D.phi after ``iterations`` search iterates from
     the start state s = (h^-1)^(x n) |0...0>, whose frame amplitudes are the
     uniform 1/sqrt(N).  The iterates run in the invariant plane; the state
-    is built once, b everywhere and a on the marked set.  Fine up to 20 qubits."""
+    is built once, b everywhere and a on the marked set, and D's +-1 frame,
+    built by doubling as int8, is multiplied into it in place.  +-1 * a and
+    +-1 * b are exact, so this is bit for bit the product with a float64
+    frame, signed zeros included.  It holds one 8N-byte state plus the
+    N-byte frame: 9 MiB at 20 qubits, the limit."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     size, k = problem.size, problem.k
@@ -169,8 +179,8 @@ def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
     phi = np.full(size, b)
     phi[problem.marked] = a
     # D's entries [w, 2w) are its entries [0, w) with one more bit set
-    signs = np.empty(size)
-    signs[0] = 1.0
+    signs = np.empty(size, dtype=np.int8)
+    signs[0] = 1
     width = 1
     while width < size:
         np.negative(signs[:width], out=signs[width : 2 * width])
@@ -180,10 +190,12 @@ def grover_general(problem: SearchProblem, iterations: int) -> np.ndarray:
 
 
 def success_probability(problem: SearchProblem, psi: np.ndarray) -> float:
-    """Total probability of measuring a marked index."""
-    v = np.abs(psi[problem.marked])
+    """Total probability of measuring a marked index, from one gather of the
+    k marked amplitudes squared in place (real or complex ``psi``)."""
+    v = psi[problem.marked]
+    np.abs(v, out=v)
     np.square(v, out=v)
-    return float(v.sum())
+    return float(v.real.sum())
 
 
 def optimal_iterations(problem: SearchProblem) -> int:
@@ -218,10 +230,13 @@ def _extended(table: np.ndarray, n: int, k: int, size: int) -> np.ndarray:
     of the factors (N - k - i) / (N - i), seeded with the last S(x)."""
     grown = np.empty(size)
     grown[: table.size] = table
-    i = np.arange(table.size - 1, size - 1)
     tail = grown[table.size - 1 :]
     tail[0] = -table[-1]
-    tail[1:] = (n - k - i) / (n - i)
+    # the denominators N - i for i = L - 1 .. size - 2; the numerators are
+    # written as floats straight into the tail and divided there
+    denominators = np.arange(n - table.size + 1, n - size + 1, -1)
+    np.subtract(denominators, k, out=tail[1:])
+    np.divide(tail[1:], denominators, out=tail[1:])
     np.multiply.accumulate(tail, out=tail)
     np.negative(tail, out=tail)
     return grown

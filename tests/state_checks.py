@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from spinsearch.core import apply_unitary, basis_state
-from spinsearch.grover import OracleLabel, SearchProblem
+from spinsearch.grover import OracleLabel, SearchProblem, grover_iterate
 from spinsearch.sequence import (
     Gradient,
     PropagatorTable,
@@ -267,6 +267,29 @@ def full_vector_general(problem: SearchProblem, iterations: int) -> np.ndarray:
     for _ in range(iterations):
         phi = full_vector_iterate(problem, phi)
     return popcount_signs(problem.n_qubits) * phi
+
+
+def float_frame_general(problem: SearchProblem, iterations: int) -> np.ndarray:
+    """The plane recurrence's state, b everywhere and a on the marked set,
+    times D's +-1 diagonal as a second float64 array: the bit-for-bit
+    reference for ``grover.grover_general``, which builds the frame by
+    doubling as int8 and multiplies it in place."""
+    size, k = problem.size, problem.k
+    a = b = 1.0 / math.sqrt(size)
+    for _ in range(iterations):
+        a, b = grover_iterate(k, size, a, b)
+    phi = np.full(size, b)
+    phi[problem.marked] = a
+    return popcount_signs(problem.n_qubits) * phi
+
+
+def abs_success_probability(problem: SearchProblem, psi: np.ndarray) -> float:
+    """The sum of |psi|**2 over the marked set from a separate magnitude
+    array: the bit-for-bit reference for ``grover.success_probability``,
+    which squares its gather in place."""
+    v = np.abs(psi[problem.marked])
+    np.square(v, out=v)
+    return float(v.sum())
 
 
 def reference_marked(n_qubits: int, marked) -> np.ndarray:

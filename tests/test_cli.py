@@ -111,6 +111,13 @@ class TestSearchCommand:
         assert code == EXIT_OK
         assert out == (GOLDEN / "search_n12_k1_seed1_trials200000.txt").read_text()
 
+    def test_deepest_table_output_is_byte_identical(self, capsys):
+        # n = 20, k = 1 grows the Monte-Carlo table to all 2**20 entries
+        code, out, _ = run_cli(capsys, "search", "--n", "20", "--k", "1",
+                               "--seed", "1", "--trials", "200000")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "search_n20_k1_seed1_trials200000.txt").read_text()
+
     def test_zero_trials_rejected(self, capsys):
         code, out, err = run_cli(capsys, "search", "--n", "4", "--k", "1",
                                  "--seed", "1", "--trials", "0")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinsearch.core import apply_single_qubit, basis_state, is_unitary
@@ -23,7 +23,9 @@ from spinsearch.grover import (
     success_probability,
 )
 from state_checks import (
+    abs_success_probability,
     equal_up_to_global_phase,
+    float_frame_general,
     full_vector_general,
     global_phase_factor,
     grover2_circuit,
@@ -271,6 +273,53 @@ def _dense_reflection_iterate(n_qubits, marked, iterations):
     for _ in range(iterations):
         psi = diffusion @ (flip * psi)
     return psi
+
+
+@st.composite
+def _search_requests(draw):
+    """A search problem over n in [1, 14] qubits with any k, and an iterate
+    count in [0, 3 * optimal]."""
+    n_qubits = draw(st.integers(1, 14), label="n_qubits")
+    size = 2**n_qubits
+    k = draw(st.integers(1, size), label="k")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    problem = SearchProblem(n_qubits, np.random.default_rng(seed).choice(size, k, replace=False))
+    return problem, draw(st.integers(0, 3 * optimal_iterations(problem)), label="m")
+
+
+class TestStateBits:
+    @given(_search_requests())
+    @example((SearchProblem(2, (0,)), 1))
+    def test_int8_frame_matches_float_frame_bit_for_bit(self, request):
+        # +-1 * a and +-1 * b are exact, so the int8 frame gives the float
+        # frame's bytes, signed zeros included: at N = 4, k = 1 one iterate
+        # leaves b = 0.0, which the frame turns into 0.0 and -0.0
+        problem, m = request
+        psi = grover_general(problem, m)
+        assert psi.dtype == np.float64
+        assert psi.tobytes() == float_frame_general(problem, m).tobytes()
+
+    def test_one_of_four_leaves_signed_zeros(self):
+        psi = grover_general(SearchProblem(2, (0,)), 1)
+        assert psi.tolist() == [-1.0, 0.0, 0.0, 0.0]
+        assert np.signbit(psi).tolist() == [True, True, True, False]
+
+    @given(_search_requests(), st.floats(0, 2 * math.pi))
+    def test_success_probability_matches_abs_form(self, request, phase):
+        # the in-place square of the gather against a separate magnitude
+        # array, for the real state and a complex multiple of it
+        problem, m = request
+        psi = grover_general(problem, m)
+        assert success_probability(problem, psi) == abs_success_probability(problem, psi)
+        rotated = psi * complex(math.cos(phase), math.sin(phase))
+        assert success_probability(problem, rotated) == abs_success_probability(problem, rotated)
+
+    @pytest.mark.parametrize("n_qubits,marked,iterations", [(3, {5}, 2), (4, {2, 7, 9}, 3)])
+    def test_success_probability_of_dense_state_matches_abs_form(self, n_qubits, marked, iterations):
+        problem = SearchProblem(n_qubits, marked)
+        psi = _dense_reflection_iterate(n_qubits, marked, iterations)
+        assert psi.dtype == np.complex128
+        assert success_probability(problem, psi) == abs_success_probability(problem, psi)
 
 
 class TestGeneralSearch:
@@ -688,3 +737,79 @@ class TestGlobalPhaseOfCircuit:
             psi = grover2_circuit(label)
             c = global_phase_factor(psi, basis_state(2, label.index))
             assert c == pytest.approx(phase, abs=1e-12)
+
+
+class TestMemoryBounds:
+    """Traced peaks of one n = 20, k = 2**19 request, each under what its
+    arrays need plus 64 KiB for Python objects and numpy's bookkeeping.  The
+    marked set, the state and the generator are made before tracing."""
+
+    n_qubits, k = 20, 2**19
+    size = 2**n_qubits
+    slack = 64 * 1024
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, result
+
+    def _problem(self):
+        return SearchProblem(self.n_qubits, np.random.default_rng(20).choice(self.size, self.k, replace=False))
+
+    def test_general_holds_state_and_int8_frame(self):
+        """The 8 N-byte float64 state and D's N-byte int8 frame, and the
+        multiply's cast buffer of np.getbufsize() float64 entries (the frame
+        is cast to float64 a buffer at a time): 9 N + 8 * bufsize bytes,
+        9.06 MiB here.  A float64 frame would hold 16 N."""
+        problem = self._problem()
+        bound = 9 * self.size + 8 * np.getbufsize() + self.slack
+        peak, psi = self._peak(lambda: grover_general(problem, optimal_iterations(problem)))
+        assert peak < bound, (peak, bound)
+        assert psi.nbytes == 8 * self.size
+
+    def test_success_probability_holds_one_gather(self):
+        """The gather of the k marked amplitudes, squared in place: 8 k bytes
+        for a real state, 4 MiB here.  For a complex state, 16 k bytes and
+        the cast buffer of np.getbufsize() float64 magnitudes that abs writes
+        back into the gather, 8.06 MiB here.  A separate magnitude array
+        would add 8 k."""
+        problem = self._problem()
+        psi = grover_general(problem, 1)
+        peak, _ = self._peak(lambda: success_probability(problem, psi))
+        assert peak < 8 * self.k + self.slack, peak
+        rotated = psi * 1j
+        peak, _ = self._peak(lambda: success_probability(problem, rotated))
+        assert peak < 16 * self.k + 8 * np.getbufsize() + self.slack, peak
+
+    def test_search_problem_holds_mask_and_sorted_set(self):
+        """The N-byte scatter mask and the 8 k-byte sorted set that nonzero
+        returns: N + 8 k bytes, 5 MiB here.  A tuple is first read into an
+        8 k-byte int64 copy, which is dropped before nonzero allocates; an
+        int64 array is scattered from directly."""
+        marked = np.random.default_rng(20).choice(self.size, self.k, replace=False)
+        bound = self.size + 8 * self.k + self.slack
+        for form in (tuple(marked.tolist()), marked):
+            peak, problem = self._peak(lambda: SearchProblem(self.n_qubits, form))
+            assert peak < bound, (type(form), peak)
+            assert problem.k == self.k
+
+    def test_table_growth_holds_tables_and_denominators(self):
+        """200000 trials at N = 2**20, k = 1 grow the table to all
+        N - k + 1 entries.  While it grows from L to L' entries, the old and
+        new tables and the int64 denominators of the L' - L new factors are
+        alive, 8 (L + L' + L' - L) = 16 L' bytes, with one chunk's keys and
+        the previous chunk's counts (16 C bytes); otherwise at most three
+        chunk arrays and the table (24 C + 8 L').  So the peak is under
+        24 C + 16 (N - k + 1) bytes, 17.5 MiB here.  Forming the factors as
+        index, numerator, denominator and quotient arrays held 40 L'."""
+        n, k = self.size, 1
+        rng = np.random.default_rng(1)
+        bound = 24 * MC_CHUNK + 16 * (n - k + 1) + self.slack
+        peak, (mean, stderr) = self._peak(lambda: monte_carlo_evaluations(n, k, 200_000, rng))
+        assert peak < bound, (peak, bound)
+        assert abs(mean - classical_expected_evaluations(n, k)) <= 5 * stderr
