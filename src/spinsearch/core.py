@@ -26,17 +26,20 @@ def as_integer(name: str, value: object) -> int:
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """True iff max|U†U - I| <= tol (False if U holds a nan or an inf)."""
+    """True iff max|U†U - I| <= tol for U, or for every matrix of a stack of
+    shape (..., n, n), each at the same bound (an empty stack passes).  False
+    for any other shape, or if a matrix holds a nan or an inf."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         return False
+    n = u.shape[-1]
     # U†U through einsum, which, unlike matmul, raises no RuntimeWarning when
     # a nan, an inf or an overflow enters the product (the max is then nan or
-    # inf and the verdict False); subtract I in place through a ravel view of
-    # the new contiguous product
-    delta = np.einsum("ji,jk->ik", u.conj(), u)
-    delta.ravel()[:: u.shape[0] + 1] -= 1.0
-    return float(np.abs(delta).max()) <= tol
+    # inf and the verdict False); subtract I in place through a view of the
+    # product, made C-contiguous so that each matrix is one row of the view
+    delta = np.einsum("...ji,...jk->...ik", u.conj(), u, order="C")
+    delta.reshape(*u.shape[:-2], n * n)[..., :: n + 1] -= 1.0
+    return float(np.abs(delta).max(initial=0.0)) <= tol
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -61,6 +64,9 @@ def apply_unitary(u: np.ndarray, state: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     state = np.asarray(state, dtype=complex)
+    # is_unitary passes a stack of unitaries; U s needs one matrix
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"operator must be a square matrix, got shape {u.shape}")
     if not is_unitary(u):
         raise ValueError("operator is not unitary at tolerance 1e-10")
     if state.shape[0] != u.shape[0]:

@@ -84,13 +84,15 @@ class SearchProblem:
     Iterable elements pass through ``operator.index``, the rule ``n_qubits``
     follows: np.int64 and Python bools are integers, while 1.5, "1", None,
     np.float64 and np.bool_ are not.  An iterable is read in one typed pass
-    (``array("q")``), and the indices are scattered into a boolean mask of
-    N entries, whose nonzero positions are the sorted set: O(N), no sort.
-    An iterable's int64 copy is dropped before nonzero allocates, so from a
-    tuple or an int64 array construction holds at most the N-byte mask and
-    one 8k-byte index array (5 MiB at n = 20, k = 2**19).  The mask is not
-    kept.  A search over the problem holds one 8N-byte state plus an N-byte
-    frame, 9 MiB at n = 20 (``grover_general``)."""
+    (``array("q")``) with no intermediate copy; bytes are read as the small
+    integers they iterate as, not as machine words.  The indices are
+    scattered into a boolean mask of N entries, whose nonzero positions are
+    the sorted set: O(N), no sort.  An iterable's int64 copy is dropped
+    before nonzero allocates, so from any iterable or integer array
+    construction holds at most the N-byte mask and one 8k-byte index array
+    (5 MiB at n = 20, k = 2**19).  The mask is not kept.  A search over the
+    problem holds one 8N-byte state plus an N-byte frame, 9 MiB at n = 20
+    (``grover_general``)."""
 
     n_qubits: int
     marked: np.ndarray
@@ -103,13 +105,16 @@ class SearchProblem:
         not_integers = "marked indices must be one or more integers (k >= 1)"
         out_of_range = f"marked indices must be distinct and in [0, {size})"
         marked = self.marked
+        if isinstance(marked, (bytes, bytearray)):
+            # bytes iterate as small integers, but array("q", b"...") would
+            # read them as raw machine words
+            marked = np.frombuffer(marked, dtype=np.uint8)
         if isinstance(marked, np.ndarray):
             if marked.ndim != 1 or marked.dtype.kind not in "iu":
                 raise ValueError(not_integers)
         else:
-            # tuple() first: array("q", b"...") would read bytes as raw words
             try:
-                marked = np.frombuffer(array("q", tuple(marked)), dtype=np.int64)
+                marked = np.frombuffer(array("q", marked), dtype=np.int64)
             except TypeError:
                 raise ValueError(not_integers) from None
             except OverflowError:  # an index of 2**63 or more

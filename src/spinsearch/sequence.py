@@ -21,7 +21,7 @@ comments.  Round-trips bit-exactly through repr floats.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,13 +322,15 @@ class PropagatorTable:
 
     The four programs of a set share most of their pulses, all of their
     delays and their compiled oracles, so ``run_experiments`` builds one
-    table for the set and passes it to each ``run_sequence`` call.  A table
-    is the only holder of the system and error model its sequences run
-    under.  Each distinct event's propagator is built once, on first use,
-    checked unitary at 1e-10 and stored read-only (``built``, keyed by the
-    event).  Each sub-sequence's product, the fold of its parts' propagators,
-    is built once too and stored read-only with the sequence (``folded``,
-    keyed by the sequence's identity, so a lookup never hashes its events).
+    table for the set, fills it with one ``build`` over the events of all
+    four programs and passes it to each ``run_sequence`` call.  A table is
+    the only holder of the system and error model its sequences run under.
+    ``build`` is the only way into the table: it builds each distinct event's
+    propagator once, checks the batch unitary at 1e-10 in one stacked check
+    and stores it read-only (``built``, keyed by the event).  Each
+    sub-sequence's product, the fold of its parts' propagators, is built
+    once too and stored read-only with the sequence (``folded``, keyed by
+    the sequence's identity, so a lookup never hashes its events).
     """
 
     system: SpinSystem
@@ -338,18 +340,35 @@ class PropagatorTable:
         default_factory=dict, init=False, repr=False
     )
 
+    def build(self, events: Iterable[PulseEvent]) -> None:
+        """Build the propagator of every event in ``events`` that the table
+        lacks, check them all unitary at 1e-10 at once, and only then store
+        them.  If one fails, raise ValueError naming the first that fails,
+        and store none."""
+        # dedupe by identity first: compiled programs share their event
+        # objects, so only the distinct objects are hashed
+        distinct = {id(ev): ev for ev in events}.values()
+        missing = [ev for ev in dict.fromkeys(distinct) if ev not in self.built]
+        if not missing:
+            return
+        us = [event_operator(self.system, ev, self.error) for ev in missing]
+        if not is_unitary(np.stack(us)):
+            bad = next(ev for ev, u in zip(missing, us) if not is_unitary(u))
+            raise ValueError(f"propagator of {bad} is not unitary at tolerance 1e-10")
+        for ev, u in zip(missing, us):
+            u.setflags(write=False)
+            self.built[ev] = u
+
     def propagator(self, part: PulseEvent | PulseSequence) -> np.ndarray:
-        """The propagator of an event, or the product of a gradient-free
-        sub-sequence's parts (earliest applied first)."""
+        """The propagator of an event, built on its first use if ``build``
+        has not built it, or the product of a gradient-free sub-sequence's
+        parts (earliest applied first)."""
         if isinstance(part, PulseSequence):
             return self._product(part)
         u = self.built.get(part)
         if u is None:
-            u = event_operator(self.system, part, self.error)
-            if not is_unitary(u):
-                raise ValueError(f"propagator of {part} is not unitary at tolerance 1e-10")
-            u.setflags(write=False)
-            self.built[part] = u
+            self.build((part,))
+            u = self.built[part]
         return u
 
     def _product(self, seq: PulseSequence) -> np.ndarray:

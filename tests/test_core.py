@@ -36,23 +36,50 @@ def small_complex_matrix(dim):
     )
 
 
+# one entry of a matrix may be set to one of these: each makes U†U
+# non-finite or overflow, and the verdict False
+SPECIAL_ENTRIES = [np.nan, np.inf, -np.inf, complex(0, np.nan), 1e200]
+
+
 @st.composite
-def unitarity_inputs(draw):
-    """A 4x4 or 2^n x 2^n matrix (n = 1 .. 5) and a tolerance near 1e-10:
-    a unitary (QR of a Gaussian matrix) perturbed by up to 1e-6 of an entry,
-    so that max|U†U - I| falls on both sides of the tolerance, or a Gaussian
-    matrix, with a nan, inf or -inf set in one entry of either."""
-    dim = draw(st.sampled_from([4, 2 ** draw(st.integers(1, 5))]))
+def near_unitary_matrices(draw, dim, wild=True):
+    """A dim x dim unitary (QR of a Gaussian matrix) perturbed by up to 1e-6
+    of an entry (1e-10 unless ``wild``), so that max|U†U - I| falls on both
+    sides of a tolerance near 1e-10; if ``wild``, also a Gaussian matrix,
+    with a nan, an inf or 1e200 set in one entry of either."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gaussian = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     u = gaussian
-    if draw(st.booleans()):
+    if not wild or draw(st.booleans()):
         u, _ = np.linalg.qr(gaussian)
-        u = u + 10 ** draw(st.floats(-17.0, -6.0)) * rng.normal(size=(dim, dim))
-    if draw(st.booleans()):
-        special = draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan)]))
+        scale = 10 ** draw(st.floats(-17.0, -6.0 if wild else -10.0))
+        u = u + scale * rng.normal(size=(dim, dim))
+    if wild and draw(st.booleans()):
+        special = draw(st.sampled_from(SPECIAL_ENTRIES))
         u[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = special
-    return u, 10 ** draw(st.floats(-12.0, -8.0))
+    return u
+
+
+unitarity_dims = st.one_of(st.just(4), st.integers(1, 5).map(lambda n: 2**n))
+unitarity_tols = st.floats(-12.0, -8.0).map(lambda e: 10**e)
+
+
+@st.composite
+def unitarity_inputs(draw):
+    """A 4x4 or 2^n x 2^n near-unitary matrix (n = 1 .. 5) and a tolerance
+    near 1e-10."""
+    return draw(near_unitary_matrices(draw(unitarity_dims))), draw(unitarity_tols)
+
+
+@st.composite
+def unitarity_stacks(draw):
+    """A stack of 1 to 20 near-unitary matrices of one size and a tolerance
+    near 1e-10.  Half the stacks hold perturbed unitaries only, so that
+    both verdicts are drawn."""
+    dim = draw(unitarity_dims)
+    wild = draw(st.booleans())
+    matrices = draw(st.lists(near_unitary_matrices(dim, wild), min_size=1, max_size=20))
+    return np.stack(matrices), draw(unitarity_tols)
 
 
 class TestKron:
@@ -108,6 +135,17 @@ class TestApplyUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             apply_unitary(np.ones((4, 4)), basis_state(2, 0))
+
+    @pytest.mark.parametrize(
+        "u",
+        [np.stack([np.eye(4)] * 4), np.ones(4), np.eye(4)[:, :2], np.eye(4)[None]],
+        ids=["stack", "vector", "rectangular", "stack-of-one"],
+    )
+    def test_rejects_operator_that_is_not_a_square_matrix(self, u):
+        # is_unitary passes a stack of unitaries, which is no operator
+        for state in (basis_state(2, 0), np.eye(4) / 4):
+            with pytest.raises(ValueError):
+                apply_unitary(u, state)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -214,6 +252,48 @@ class TestValidators:
         with np.errstate(invalid="ignore", over="ignore"):
             expected = reference_is_unitary(u, tol)
         assert is_unitary(u, tol) is expected
+
+    @given(unitarity_stacks())
+    def test_stack_verdict_is_every_matrix_verdict(self, inputs):
+        stack, tol = inputs
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = all(reference_is_unitary(u, tol) for u in stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert is_unitary(stack, tol) is expected
+
+    @given(
+        st.integers(1, 20),
+        st.sampled_from([2, 4, 8]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_one_bad_matrix_fails_a_stack_of_unitaries(self, count, dim, seed, data):
+        rng = np.random.default_rng(seed)
+        gaussian = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        stack, _ = np.linalg.qr(gaussian)
+        assert is_unitary(stack)
+        # each matrix keeps its own bound: a stack is not judged by a sum
+        bad = stack.copy()
+        index = data.draw(st.integers(0, count - 1), label="index")
+        bad[index] *= data.draw(st.sampled_from([1 + 1e-9, *SPECIAL_ENTRIES]), label="scale")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert is_unitary(bad) is False
+        # the verdict does not depend on the stack's memory layout
+        assert is_unitary(np.asfortranarray(stack))
+        assert is_unitary(np.moveaxis(np.moveaxis(stack, 0, -1).copy(), -1, 0))
+
+    @pytest.mark.parametrize(
+        "shape,verdict",
+        [((0, 4, 4), True), ((0, 0), True), ((4,), False), ((2, 3), False), ((5, 2, 3), False),
+         ((0, 2, 3), False), ((), False)],
+        ids=str,
+    )
+    def test_any_shape_is_a_verdict(self, shape, verdict):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert is_unitary(np.zeros(shape)) is verdict
 
     @pytest.mark.parametrize(
         "value", [np.inf, -np.inf, np.nan, complex(0, np.inf), 1e200], ids=str

@@ -788,12 +788,15 @@ class TestMemoryBounds:
 
     def test_search_problem_holds_mask_and_sorted_set(self):
         """The N-byte scatter mask and the 8 k-byte sorted set that nonzero
-        returns: N + 8 k bytes, 5 MiB here.  A tuple is first read into an
-        8 k-byte int64 copy, which is dropped before nonzero allocates; an
-        int64 array is scattered from directly."""
+        returns: N + 8 k bytes, 5 MiB here.  A tuple, list, set or generator
+        is read straight into an 8 k-byte int64 copy, which is dropped
+        before nonzero allocates; an int64 array is scattered from directly.
+        Copying an iterable to a tuple first would add 8 k bytes."""
         marked = np.random.default_rng(20).choice(self.size, self.k, replace=False)
+        values = marked.tolist()
         bound = self.size + 8 * self.k + self.slack
-        for form in (tuple(marked.tolist()), marked):
+        forms = (tuple(values), values, set(values), (index for index in values), marked)
+        for form in forms:
             peak, problem = self._peak(lambda: SearchProblem(self.n_qubits, form))
             assert peak < bound, (type(form), peak)
             assert problem.k == self.k

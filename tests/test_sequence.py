@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -585,9 +586,10 @@ class TestPropagatorTable:
 
     @pytest.mark.parametrize("err", [IDEAL, SOFT], ids=["ideal", "soft"])
     def test_set_folds_each_oracle_once(self, monkeypatch, err):
-        built, requested = [], []
+        built, requested, checked = [], [], []
         original_operator = sequence.event_operator
         original_propagator = PropagatorTable.propagator
+        original_check = sequence.is_unitary
 
         def counting(sys, ev, err):
             built.append(ev)
@@ -597,10 +599,18 @@ class TestPropagatorTable:
             requested.append(part)
             return original_propagator(table, part)
 
+        def checking(u, *args):
+            checked.append(np.shape(u))
+            return original_check(u, *args)
+
         monkeypatch.setattr(sequence, "event_operator", counting)
         monkeypatch.setattr(PropagatorTable, "propagator", recording)
+        monkeypatch.setattr(sequence, "is_unitary", checking)
         run_experiments(FOLD_SYSTEM, AcquisitionParams(), 1.0, err)
         assert len(built) == len(set(built)) == 15
+        # the set's table is built once, so its 15 propagators are checked
+        # unitary in one stacked check
+        assert checked == [(15, 4, 4)]
         sequences = [part for part in requested if isinstance(part, PulseSequence)]
         events = [part for part in requested if not isinstance(part, PulseSequence)]
         # two oracle parts a program, four distinct oracles a set: the f00
@@ -649,6 +659,41 @@ class TestPropagatorTable:
         for label, program in zip(ALL_LABELS, programs):
             assert program == reference_grover_program(label, FOLD_SYSTEM)
 
+    def test_propagator_builds_a_batch_of_one(self, monkeypatch):
+        checked = []
+        original = sequence.is_unitary
+
+        def recording(u, *args):
+            checked.append(np.shape(u))
+            return original(u, *args)
+
+        monkeypatch.setattr(sequence, "is_unitary", recording)
+        table = PropagatorTable(FOLD_SYSTEM, SOFT)
+        table.build([P1, TAU, P1, Delay(FOLD_SYSTEM.tau)])
+        assert list(table.built) == [P1, TAU] and checked == [(2, 4, 4)]
+        # events the table holds are neither built nor checked again
+        table.build([TAU, P1])
+        assert table.propagator(P1) is table.built[P1]
+        assert checked == [(2, 4, 4)]
+        u = table.propagator(P2)
+        assert checked == [(2, 4, 4), (1, 4, 4)]
+        assert u is table.built[P2] and not u.flags.writeable
+
+    def test_failing_batch_names_its_event_and_stores_nothing(self, monkeypatch):
+        original = sequence.event_operator
+
+        def scaling_delays(sys, ev, err):
+            u = original(sys, ev, err)
+            return 2 * u if isinstance(ev, Delay) else u
+
+        monkeypatch.setattr(sequence, "event_operator", scaling_delays)
+        table = PropagatorTable(FOLD_SYSTEM, SOFT)
+        with pytest.raises(ValueError, match=re.escape(f"propagator of {TAU} is not unitary")):
+            table.build([P1, TAU, P2, Delay(1e-3)])
+        assert table.built == {}
+        table.build([P1, P2])
+        assert list(table.built) == [P1, P2]
+
     def test_stored_propagators_read_only(self):
         table = PropagatorTable(FOLD_SYSTEM, SOFT)
         run_sequence(table, [P1, P2, TAU, GRAD, PB, P1], random_density(5))
@@ -660,7 +705,7 @@ class TestPropagatorTable:
         assert sequence_unitary(FOLD_SYSTEM, [P1], SOFT).flags.writeable
 
     def test_propagators_cannot_be_passed_in(self):
-        # the only way into a table is propagator(), which checks unitarity
+        # the only way into a table is build(), which checks unitarity
         with pytest.raises(TypeError):
             PropagatorTable(FOLD_SYSTEM, SOFT, {P1: 2 * np.eye(4)})
 
